@@ -6,7 +6,9 @@ factory).  Simulators and baselines need a little more structure — a
 simulator is an adapter factory *plus* the table serialization and optional
 timeline/sweep capabilities the CLI exposes; a baseline is either a
 parameter-table *search* or a standalone timing *predictor* — so they
-register the small frozen records defined here.
+register the small frozen records defined here.  Capabilities the engine
+can observe on a simulator object — a vectorized ``predict_timing_batch``
+kernel — are detected there and not declared in the record.
 
 Like :mod:`repro.api.registry`, this module imports nothing from the rest of
 the package: the callables are supplied by the registering modules.
@@ -46,12 +48,6 @@ class SimulatorPlugin:
         supports_partial_learning: Whether the adapter accepts
             ``learn_fields`` (learning a subset of the parameter set);
             validated up front by :class:`~repro.api.specs.TuneSpec`.
-        supports_megabatch: Whether the simulator provides a vectorized
-            megabatch timing kernel (``predict_timing_batch``) that the
-            engine can route cache misses through.  Simulators without one
-            still work — the engine falls back to per-block
-            ``predict_timing`` — but cannot honour ``engine_megabatch``
-            beyond that fallback.
     """
 
     name: str
@@ -63,7 +59,6 @@ class SimulatorPlugin:
     sweep_fields: Mapping[str, Callable[[Any, int], None]] = field(default_factory=dict)
     opcode_sweep_fields: Mapping[str, Callable[..., None]] = field(default_factory=dict)
     supports_partial_learning: bool = True
-    supports_megabatch: bool = False
 
     def create_adapter(self, uarch: Any, **kwargs: Any) -> Any:
         """Build the simulator's adapter for ``uarch``."""

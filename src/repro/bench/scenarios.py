@@ -372,8 +372,13 @@ def engine_throughput(ctx: ScenarioContext):
     stay bit-identical to the scalar reference.
     """
     from repro.bhive.generator import BlockGenerator
-    from repro.engine import BlockCompiler
+    from repro.engine import BlockCompiler, SimulationEngine, mca_table_digest
     from repro.llvm_mca.simulator import MCASimulator
+
+    class ScalarMCASimulator(MCASimulator):
+        """The llvm-mca model without its batch kernel: the engine's fallback."""
+
+        predict_timing_batch = None
 
     # Lockstep amortization grows with batch size, so each tier runs the
     # largest corpus its wall-time budget allows; quick is where the >= 10x
@@ -418,11 +423,12 @@ def engine_throughput(ctx: ScenarioContext):
                          compiler=shared_compiler).predict_timing_batch(blocks)
             for table in tables])
 
-    # Engine with the megabatch kernel disabled: shared compile cache and LRU,
-    # but per-block simulation — isolates the kernel's contribution.  Result
-    # caches are cleared between rounds so every round re-simulates
-    # (engine_cached measures the hit path separately).
-    scalar_engine = ctx.mca_engine(num_workers=0, megabatch=False)
+    # Engine over a simulator without a batch kernel: shared compile cache and
+    # LRU, but per-block simulation through the engine's fallback — isolates
+    # the kernel's contribution.  Result caches are cleared between rounds so
+    # every round re-simulates (engine_cached measures the hit path
+    # separately).
+    scalar_engine = SimulationEngine(ScalarMCASimulator, mca_table_digest)
     scalar_engine.run([warmup_table], blocks)
     engine = ctx.mca_engine(num_workers=0)
     engine.run([warmup_table], blocks)
@@ -516,14 +522,17 @@ def surrogate_training_throughput(ctx: ScenarioContext):
     results: Dict[str, Dict[str, float]] = {}
     epoch_losses: Dict[str, List[float]] = {}
     # Fresh, identically seeded surrogate per path so both train the same
-    # model; the loss trajectories must agree (the property tests pin the two
-    # paths within 1e-9, and the max divergence is recorded as a metric).
-    for label, batched in (("scalar", False), ("batched", True)):
+    # model; the scalar one reports no batched forward, so training takes the
+    # per-example loop.  The loss trajectories must agree (the property tests
+    # pin the two paths within 1e-9, and the max divergence is recorded as a
+    # metric).
+    training = SurrogateTrainingConfig(epochs=epochs, batch_size=batch_size,
+                                       seed=ctx.seed)
+    for label in ("scalar", "batched"):
         surrogate = build_surrogate(
             spec, BlockFeaturizer(adapter.opcode_table),
             SurrogateConfig(kind="pooled", seed=ctx.seed))
-        training = SurrogateTrainingConfig(epochs=epochs, batch_size=batch_size,
-                                           seed=ctx.seed, batched=batched)
+        surrogate.supports_batched_forward = label == "batched"
         start = time.perf_counter()
         outcome = train_surrogate(surrogate, examples, training)
         elapsed = time.perf_counter() - start
@@ -579,15 +588,17 @@ def table_optimization_throughput(ctx: ScenarioContext):
 
     results: Dict[str, Dict[str, float]] = {}
     epoch_losses: Dict[str, List[float]] = {}
-    # Fresh, identically seeded surrogate per path; the two loss trajectories
-    # must agree (pinned within 1e-9 by the property tests; the observed
-    # divergence is recorded as a metric).
-    for label, batched in (("scalar", False), ("batched", True)):
+    # Fresh, identically seeded surrogate per path, the scalar one without a
+    # batched forward; the two loss trajectories must agree (pinned within
+    # 1e-9 by the property tests; the observed divergence is recorded as a
+    # metric).
+    config = TableOptimizationConfig(epochs=epochs, batch_size=batch_size,
+                                     seed=ctx.seed)
+    for label in ("scalar", "batched"):
         surrogate = build_surrogate(
             spec, BlockFeaturizer(adapter.opcode_table),
             SurrogateConfig(kind="pooled", seed=ctx.seed))
-        config = TableOptimizationConfig(epochs=epochs, batch_size=batch_size,
-                                         seed=ctx.seed, batched=batched)
+        surrogate.supports_batched_forward = label == "batched"
         start = time.perf_counter()
         outcome = optimize_parameter_table(surrogate, blocks, timings, config,
                                            initial_arrays=initial)

@@ -3,7 +3,10 @@
 Both phases optimize the mean absolute percentage error (MAPE), matching the
 error definition of Section V-A.  During surrogate training the target is the
 *simulated* timing; during parameter-table training the target is the
-*measured* (ground-truth) timing.
+*measured* (ground-truth) timing.  The plain NumPy value is
+:func:`repro.eval.metrics.mean_absolute_percentage_error`, re-exported here
+as :func:`mape_loss_value` so the optimizers and the evaluation share one
+implementation (with its shape and empty-input checks).
 """
 
 from __future__ import annotations
@@ -14,14 +17,7 @@ import numpy as np
 
 from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor, stack
-
-
-def mape_loss_value(predictions: np.ndarray, targets: np.ndarray,
-                    epsilon: float = 1e-9) -> float:
-    """Plain NumPy MAPE (for evaluation, not differentiation)."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    return float(np.mean(np.abs(predictions - targets) / np.maximum(np.abs(targets), epsilon)))
+from repro.eval.metrics import mean_absolute_percentage_error as mape_loss_value
 
 
 def surrogate_loss(predictions, targets: Sequence[float],
@@ -33,16 +29,14 @@ def surrogate_loss(predictions, targets: Sequence[float],
     batched fast path hands the whole minibatch over at once).  Both routes
     compute the identical loss expression.
     """
-    if isinstance(predictions, Tensor):
-        if predictions.ndim != 1:
-            raise ValueError(
-                f"batched surrogate loss expects a 1-D prediction tensor, "
-                f"got shape {predictions.shape}")
-        prediction_vector = predictions
-    else:
-        if not predictions:
-            raise ValueError("cannot compute a loss over an empty batch")
-        prediction_vector = stack(list(predictions))
+    if isinstance(predictions, Tensor) and predictions.ndim != 1:
+        raise ValueError(
+            f"batched surrogate loss expects a 1-D prediction tensor, "
+            f"got shape {predictions.shape}")
+    if len(predictions) == 0:
+        raise ValueError("cannot compute a loss over an empty batch")
+    prediction_vector = (predictions if isinstance(predictions, Tensor)
+                         else stack(list(predictions)))
     if len(prediction_vector) != len(targets):
         raise ValueError("predictions and targets must have the same length")
     target_array = np.maximum(np.abs(np.asarray(targets, dtype=np.float64)), epsilon)

@@ -447,9 +447,9 @@ class FeaturizationCache:
 class _SurrogateBase(Module):
     """Shared plumbing for both surrogate variants."""
 
-    #: Whether :meth:`forward_batch` is implemented.  The batched training
-    #: fast path checks this and falls back to the per-example loop when a
-    #: custom surrogate has no batch-major forward.
+    #: Whether :meth:`forward_batch` is implemented.  Training, evaluation
+    #: and table optimization check this and fall back to the per-example
+    #: loop when a custom surrogate has no batch-major forward.
     supports_batched_forward = False
 
     def __init__(self, spec: ParameterSpec, featurizer: BlockFeaturizer,
@@ -471,8 +471,9 @@ class _SurrogateBase(Module):
         two paths together within 1e-9.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} has no batched forward; "
-            "train with SurrogateTrainingConfig(batched=False)")
+            f"{type(self).__name__} has no batched forward; leave "
+            "supports_batched_forward False so training and evaluation "
+            "use the per-example forward()")
 
     def _broadcast_global(self, global_vector: Tensor,
                           batch: PackedBlockBatch) -> Tensor:

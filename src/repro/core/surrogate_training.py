@@ -4,17 +4,13 @@ Solves Equation (2) of the paper: fit the differentiable surrogate so that
 ``surrogate(theta, x) ≈ simulator(theta, x)`` over the simulated dataset, with
 Adam and MAPE loss.
 
-Two execution paths produce the same losses and gradients (within floating-
-point reassociation, pinned to 1e-9 by property tests):
-
-* the **batched fast path** (default) featurizes every block once per dataset
-  through a :class:`~repro.core.surrogate.FeaturizationCache`, normalizes each
-  sampled parameter table once, and advances a whole padded minibatch per
-  autodiff op via the surrogate's ``forward_batch``;
-* the **per-example path** (``SurrogateTrainingConfig(batched=False)``, or any
-  surrogate without a batched forward) runs one example at a time — the
-  original semantics, kept as the escape hatch and the reference the property
-  tests compare against.
+Training featurizes every block once per dataset through a
+:class:`~repro.core.surrogate.FeaturizationCache`, normalizes each sampled
+parameter table once, and advances a whole padded minibatch per autodiff op
+via the surrogate's ``forward_batch``.  A surrogate without a batched forward
+(``supports_batched_forward = False``, e.g. a registered plugin) is trained
+one example at a time instead; that per-example loop is also the reference
+the property tests pin the batched path to (within 1e-9).
 """
 
 from __future__ import annotations
@@ -41,10 +37,6 @@ class SurrogateTrainingConfig:
     Defaults follow the paper where feasible (Adam, learning rate 0.001,
     batch-based updates); batch size and epoch count are scaled down for CPU
     training and can be overridden.
-
-    ``batched`` selects the batch-major fast path (on by default); it falls
-    back to the per-example loop automatically for surrogates that do not
-    implement ``forward_batch``.
     """
 
     learning_rate: float = 0.001
@@ -54,7 +46,6 @@ class SurrogateTrainingConfig:
     shuffle: bool = True
     seed: int = 0
     log_every: int = 0  # batches; 0 disables logging callbacks
-    batched: bool = True
 
 
 @dataclass
@@ -143,7 +134,7 @@ def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExamp
     spec = surrogate.spec
     optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    use_batched = bool(config.batched) and surrogate.supports_batched_forward
+    use_batched = surrogate.supports_batched_forward
     streaming = is_streaming_examples(examples)
 
     # Featurize each distinct block once for the whole run; the cache also
@@ -196,12 +187,7 @@ def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExamp
         log_every=config.log_every, progress=progress)
 
     surrogate.eval()
-    # The final evaluation pass follows the selected execution path too:
-    # with batched=False the whole run — including final_training_error — is
-    # the per-example reference, never touching forward_batch.
-    final_error = evaluate_surrogate(surrogate, examples,
-                                     batch_size=64 if use_batched else 0,
-                                     cache=cache)
+    final_error = evaluate_surrogate(surrogate, examples, cache=cache)
     return SurrogateTrainingResult(
         epoch_losses=loop.epoch_losses, final_training_error=final_error,
         used_batched_path=use_batched,
@@ -214,9 +200,13 @@ def evaluate_surrogate(surrogate: _SurrogateBase,
                        cache: Optional[FeaturizationCache] = None) -> float:
     """MAPE of the surrogate against the simulator on ``examples``.
 
-    Uses the surrogate's batched forward in ``batch_size`` chunks when
-    available (pass ``batch_size=0`` to force the per-example path).
+    Uses the surrogate's batched forward in ``batch_size`` chunks when it
+    has one, and the per-example forward otherwise.
     """
+    if not examples:
+        raise ValueError("cannot evaluate the surrogate on an empty dataset")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     spec = surrogate.spec
     cache = cache or FeaturizationCache(surrogate.featurizer)
     streaming = is_streaming_examples(examples)
@@ -225,9 +215,8 @@ def evaluate_surrogate(surrogate: _SurrogateBase,
         targets = [examples.timing(row) for row in range(len(examples))]
     else:
         targets = [example.simulated_timing for example in examples]
-    use_batched = batch_size > 0 and surrogate.supports_batched_forward
     with no_grad():
-        if use_batched:
+        if surrogate.supports_batched_forward:
             featurized = ([] if streaming else
                           [cache.featurize(example.block) for example in examples])
             for chunk_start in range(0, len(examples), batch_size):

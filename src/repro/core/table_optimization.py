@@ -7,21 +7,16 @@ against the ground-truth dataset under MAPE loss.  During this phase the
 absolute value of lower-bounded parameters is taken before they are passed to
 the surrogate (Section IV, "Solving the optimization problems").
 
-Like surrogate training (phase one), two execution paths produce the same
-losses and gradients (pinned within 1e-9 by property tests):
-
-* the **batched fast path** (default) featurizes every block once per run
-  through a :class:`~repro.core.surrogate.FeaturizationCache`, packs each
-  minibatch into one padded :class:`~repro.core.surrogate.PackedBlockBatch`,
-  gathers the trainable table's rows for the whole batch with the scatter-add
-  ``gather`` primitive (so gradients of repeated opcodes accumulate into the
-  same table row), and advances the minibatch through the surrogate's
-  ``forward_batch``;
-* the **per-block path** (``TableOptimizationConfig(batched=False)``, or any
-  surrogate without a batched forward) runs one block at a time — the
-  original semantics, kept as the equivalence reference.
-
-Both run on the shared :mod:`~repro.core.training_loop` implementation.
+Each run featurizes every block once through a
+:class:`~repro.core.surrogate.FeaturizationCache`, packs each minibatch into
+one padded :class:`~repro.core.surrogate.PackedBlockBatch`, gathers the
+trainable table's rows for the whole batch with the scatter-add ``gather``
+primitive (so gradients of repeated opcodes accumulate into the same table
+row), and advances the minibatch through the surrogate's ``forward_batch``.
+A surrogate without a batched forward (``supports_batched_forward = False``)
+is driven one block at a time instead; that per-block loop is also the
+reference the property tests pin the batched path to (within 1e-9).  Both
+run on the shared :mod:`~repro.core.training_loop` implementation.
 """
 
 from __future__ import annotations
@@ -51,11 +46,9 @@ class TableOptimizationConfig:
     same relative step is achieved with a comparable learning rate in
     normalized space.
 
-    ``batched`` selects the batch-major fast path (on by default); it falls
-    back to the per-block loop automatically for surrogates that do not
-    implement ``forward_batch``.  ``log_every`` throttles the progress
-    callback (every N batches plus the final batch of each epoch; the default
-    of 1 preserves the historical every-batch behaviour).
+    ``log_every`` throttles the progress callback (every N batches plus the
+    final batch of each epoch; the default of 1 preserves the historical
+    every-batch behaviour).
     """
 
     learning_rate: float = 0.05
@@ -64,7 +57,6 @@ class TableOptimizationConfig:
     gradient_clip: float = 5.0
     shuffle: bool = True
     seed: int = 0
-    batched: bool = True
     log_every: int = 1
 
 
@@ -191,7 +183,7 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
                 frozen_global_values[frozen_global_mask]
 
     surrogate.eval()
-    use_batched = bool(config.batched) and surrogate.supports_batched_forward
+    use_batched = surrogate.supports_batched_forward
     targets = np.asarray(true_timings, dtype=np.float64)
     # Featurize each distinct block once for the whole run — on *both* paths.
     # The per-block path used to re-featurize inside the batch loop on every

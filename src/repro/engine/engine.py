@@ -13,8 +13,8 @@ serves that request through one path:
 3. cache misses are gathered and executed as *megabatches* — one
    numpy-vectorized kernel invocation per table over every missing block
    (see :mod:`repro.engine.megabatch`) — and scattered back through the
-   cache; ``megabatch=False`` retains the per-block scalar path, which is
-   bit-identical;
+   cache.  A simulator without ``predict_timing_batch`` (a third-party
+   plugin, say) is served block by block through ``predict_timing``;
 4. with workers configured, megabatches are chunked across a
    ``multiprocessing`` pool (several tasks per worker rather than one
    monolithic task per table) with deterministic reassembly.
@@ -65,13 +65,11 @@ def _simulate_blocks_task(task: Any) -> List[float]:
     """Worker entry point: simulate ``blocks`` under one table.
 
     Module-level so it pickles under every multiprocessing start method.
-    Routes through the simulator's megabatch kernel when the engine runs
-    with ``megabatch=True`` and the simulator provides one; both paths
-    produce identical bits.
+    Routes through the simulator's megabatch kernel when it provides one.
     """
-    simulator_factory, table, blocks, megabatch = task
+    simulator_factory, table, blocks = task
     simulator = simulator_factory(table)
-    batch = getattr(simulator, "predict_timing_batch", None) if megabatch else None
+    batch = getattr(simulator, "predict_timing_batch", None)
     if batch is not None:
         return [float(value) for value in batch(blocks)]
     return [float(simulator.predict_timing(block)) for block in blocks]
@@ -91,24 +89,21 @@ class SimulationEngine:
             executes serially in-process; ``>= 2`` chunks the missing
             blocks of every table across a pool.  Results are deterministic
             and identical to the serial path either way.
-        megabatch: Route cache misses through the simulators' vectorized
-            megabatch kernels (bit-identical to the scalar path, roughly an
-            order of magnitude faster).  ``False`` simulates blocks one at
-            a time with ``predict_timing`` — the right choice only for
-            debugging single blocks or simulators without a batch kernel.
+
+    Cache misses run through the simulator's vectorized
+    ``predict_timing_batch`` kernel when it has one, and block by block
+    through ``predict_timing`` otherwise; the two are bit-identical.
     """
 
     def __init__(self, simulator_factory: Callable[[Any], Any],
                  table_digest: Callable[[Any], str],
                  cache_size: int = DEFAULT_CACHE_SIZE,
-                 num_workers: int = 0,
-                 megabatch: bool = True) -> None:
+                 num_workers: int = 0) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         self._factory = simulator_factory
         self._table_digest = table_digest
         self.num_workers = num_workers
-        self.megabatch = megabatch
         self._results = LRUCache(cache_size)
         self._compilers: Dict[int, BlockCompiler] = {}
         self._parallel_batches = 0
@@ -170,8 +165,7 @@ class SimulationEngine:
                          compiled: Optional[Sequence[Any]] = None
                          ) -> List[float]:
         """Simulate uncached blocks, vectorized when the simulator can."""
-        batch = (getattr(simulator, "predict_timing_batch", None)
-                 if self.megabatch else None)
+        batch = getattr(simulator, "predict_timing_batch", None)
         if batch is not None:
             self._megabatch_batches += 1
             if compiled is not None and _accepts_compiled(batch):
@@ -250,12 +244,10 @@ class SimulationEngine:
             ids = list(missing.keys())
             for start in range(0, len(ids), chunk):
                 tasks.append((self._factory, table,
-                              unique_blocks[start:start + chunk],
-                              self.megabatch))
+                              unique_blocks[start:start + chunk]))
                 segments.append((index, digest, missing,
                                  ids[start:start + chunk]))
-        if self.megabatch:
-            self._megabatch_batches += len(tasks)
+        self._megabatch_batches += len(tasks)
         start_methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in start_methods else start_methods[0])

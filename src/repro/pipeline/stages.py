@@ -427,8 +427,7 @@ class RefinementRoundStage(Stage):
             epochs=config.refinement_epochs,
             gradient_clip=config.surrogate_training.gradient_clip,
             seed=config.surrogate_training.seed + round_number,
-            log_every=config.surrogate_training.log_every,
-            batched=config.surrogate_training.batched)
+            log_every=config.surrogate_training.log_every)
         state.surrogate_result = train_surrogate(state.surrogate, local_examples,
                                                  refinement_training)
         state.log(f"refined surrogate error: "

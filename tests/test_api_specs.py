@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.api.specs import (EvaluateSpec, PredictSpec, SpecValidationError,
-                             TuneSpec)
+from repro.api.specs import (BundleSpec, CorpusSpec, EvaluateSpec, PredictSpec,
+                             ServeSpec, SpecValidationError, TuneSpec)
+from repro.campaigns.spec import CampaignSpec
 
 
 class TestRoundTrip:
     def test_tune_spec_round_trips(self):
         spec = TuneSpec(target="skylake", simulator="mca", preset="test",
                         num_blocks=123, seed=7, learn_fields=["WriteLatency"],
-                        batch_training=False)
+                        narrow_sampling=False)
         assert TuneSpec.from_dict(spec.to_dict()) == spec
 
     def test_llvm_sim_spec_round_trips(self):
@@ -45,6 +46,19 @@ class TestValidationNamesTheField:
                                                       "'num_blocks'") as excinfo:
             TuneSpec.from_dict({"num_block": 10})
         assert excinfo.value.field == "num_block"
+
+    @pytest.mark.parametrize("spec_cls,key", [
+        (TuneSpec, "engine_megabatch"), (TuneSpec, "batch_training"),
+        (TuneSpec, "batch_table_optimization"), (EvaluateSpec, "engine_megabatch"),
+        (CorpusSpec, "engine_megabatch"), (PredictSpec, "engine_megabatch"),
+        (BundleSpec, "engine_megabatch"), (ServeSpec, "engine_megabatch"),
+        (CampaignSpec, "engine_megabatch"), (CampaignSpec, "batch_training")])
+    def test_removed_execution_switches_rejected(self, spec_cls, key):
+        # The fast paths are the only runtime paths, so a payload that still
+        # carries a path selector fails and names it.
+        with pytest.raises(SpecValidationError, match=key) as excinfo:
+            spec_cls.from_dict({key: False})
+        assert excinfo.value.field == key
 
     def test_unknown_target_names_field_and_suggests(self):
         with pytest.raises(SpecValidationError, match="target.*did you mean "

@@ -97,8 +97,25 @@ class TestExportRoundTrip:
     def test_from_bundle_overrides_engine_knobs(self, tmp_path):
         path = os.path.join(tmp_path, "hsw.bundle")
         Session.from_spec(PredictSpec(target="haswell")).export_bundle(path)
-        loaded = Session.from_bundle(path, engine_megabatch=False)
-        assert loaded.spec.engine_megabatch is False
+        loaded = Session.from_bundle(path, engine_workers=2)
+        assert loaded.spec.engine_workers == 2
+        assert loaded.adapter.engine.num_workers == 2
+
+    def test_bundle_with_removed_engine_megabatch_key_still_loads(self, tmp_path):
+        # Bundles exported while the engine still had a megabatch switch
+        # carry it in their manifest spec; loading ignores it.
+        live = Session.from_spec(PredictSpec(target="haswell"))
+        path = os.path.join(tmp_path, "hsw.bundle")
+        live.export_bundle(path)
+        manifest = json.loads(zipfile.ZipFile(path).read(MANIFEST_MEMBER))
+        manifest["spec"]["engine_megabatch"] = False
+        old = os.path.join(tmp_path, "old.bundle")
+        _rewrite_member(path, old, MANIFEST_MEMBER, json.dumps(manifest).encode())
+
+        blocks = _blocks("haswell")
+        loaded = Session.from_bundle(old)
+        assert loaded.bundle_manifest.spec["engine_megabatch"] is False
+        assert np.array_equal(loaded.predict(blocks), live.predict(blocks))
 
     def test_inspect_reports_contents(self, tmp_path):
         path = os.path.join(tmp_path, "hsw.bundle")

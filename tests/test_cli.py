@@ -36,18 +36,33 @@ class TestParser:
         assert arguments.targets == ["haswell"]
         assert arguments.config == "fast"
         assert not arguments.resume
-        assert arguments.batch_training
-        assert arguments.batch_table_optimization
         assert arguments.handler is cli._command_tune
 
     def test_tune_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["tune", "--targets", "alderlake"])
 
-    def test_learn_batch_table_optimization_flag(self):
-        arguments = cli.build_parser().parse_args(
-            ["learn", "--output", "t.json", "--no-batch-table-optimization"])
-        assert not arguments.batch_table_optimization
+    def test_learn_batch_table_optimization_flag(self, capsys):
+        # Table optimization has one runtime path; no flag selects another.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(
+                ["learn", "--output", "t.json", "--no-batch-table-optimization"])
+        assert excinfo.value.code == 2
+        assert "--no-batch-table-optimization" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["learn", "--output", "t.json", "--no-megabatch"],
+        ["learn", "--output", "t.json", "--no-batch-training"],
+        ["tune", "--no-batch-table-optimization"],
+        ["evaluate", "--dataset", "d.json", "--megabatch"],
+        ["sweep", "--dataset", "d.json", "--no-megabatch"],
+        ["campaign", "run", "--no-megabatch"],
+        ["serve", "--no-megabatch"]])
+    def test_removed_execution_switches_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -1,5 +1,7 @@
 """Tests for the surrogate models, featurizer, and the two training phases."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,16 @@ class TestLosses:
     def test_mape_loss_value(self):
         assert mape_loss_value(np.array([2.0]), np.array([1.0])) == pytest.approx(1.0)
 
+    def test_mape_loss_value_rejects_mismatched_shapes_and_empty(self):
+        from repro.eval.metrics import mean_absolute_percentage_error
+
+        assert mape_loss_value is mean_absolute_percentage_error
+        # A length-1 prediction must not broadcast against three targets.
+        with pytest.raises(ValueError, match="same shape"):
+            mape_loss_value(np.array([2.0]), np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(ValueError, match="empty"):
+            mape_loss_value(np.array([]), np.array([]))
+
     def test_surrogate_loss_matches_numpy(self):
         predictions = [Tensor(np.array(2.0)), Tensor(np.array(3.0))]
         loss = surrogate_loss(predictions, [1.0, 6.0])
@@ -197,6 +209,11 @@ class TestLosses:
             surrogate_loss([], [])
         with pytest.raises(ValueError):
             surrogate_loss([Tensor(np.array(1.0))], [1.0, 2.0])
+
+    def test_surrogate_loss_empty_tensor_raises_like_empty_list(self):
+        for predictions in ([], Tensor(np.zeros(0))):
+            with pytest.raises(ValueError, match="empty batch"):
+                surrogate_loss(predictions, [])
 
 
 class TestSurrogateTraining:
@@ -218,6 +235,14 @@ class TestSurrogateTraining:
                                     SurrogateConfig(kind="analytical"))
         with pytest.raises(ValueError):
             train_surrogate(surrogate, [], SurrogateTrainingConfig())
+
+    def test_evaluate_empty_dataset(self, adapter, featurizer):
+        surrogate = build_surrogate(adapter.parameter_spec(), featurizer,
+                                    SurrogateConfig(kind="analytical"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty dataset"):
+                evaluate_surrogate(surrogate, [])
 
 
 class TestTableOptimization:

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.bhive.generator import BlockGenerator
 from repro.core.adapters import LLVMSimAdapter, MCAAdapter
-from repro.engine import (MIN_LOCKSTEP_BLOCKS, BlockCompiler, llvm_sim_engine,
-                          mca_engine, pack_corpus, shrink_iteration_counts)
+from repro.engine import (MIN_LOCKSTEP_BLOCKS, BlockCompiler, SimulationEngine,
+                          llvm_sim_engine, llvm_sim_table_digest, mca_engine,
+                          mca_table_digest, pack_corpus, shrink_iteration_counts)
 from repro.isa.basic_block import BasicBlock
 from repro.llvm_mca.megabatch import simulate_packed_mca
 from repro.llvm_mca.simulator import MCASimulator
@@ -47,6 +48,18 @@ def corpus_blocks():
 def _sampled_table(adapter, seed):
     spec = adapter.parameter_spec()
     return adapter.table_from_arrays(spec.sample(np.random.default_rng(seed)))
+
+
+class ScalarMCASimulator(MCASimulator):
+    """The llvm-mca model without its batch kernel (the engine's fallback)."""
+
+    predict_timing_batch = None
+
+
+class ScalarLLVMSimSimulator(LLVMSimSimulator):
+    """The llvm_sim model without its batch kernel (the engine's fallback)."""
+
+    predict_timing_batch = None
 
 
 def _scalar_timings(simulator, blocks):
@@ -211,18 +224,27 @@ def test_predict_many_equals_per_block_loop(mca_adapter, sim_adapter,
 
 
 # ----------------------------------------------------------------------
-# Engine integration: megabatch on/off, cache interleavings, parallel
+# Engine integration: kernel vs scalar fallback, cache interleavings, parallel
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("factory,adapter_fixture",
-                         [(mca_engine, "mca_adapter"),
-                          (llvm_sim_engine, "sim_adapter")])
+@pytest.mark.parametrize("factory,adapter_fixture,scalar_simulator,digest", [
+    pytest.param(mca_engine, "mca_adapter", ScalarMCASimulator, mca_table_digest,
+                 id="mca_engine-mca_adapter"),
+    pytest.param(llvm_sim_engine, "sim_adapter", ScalarLLVMSimSimulator,
+                 llvm_sim_table_digest, id="llvm_sim_engine-sim_adapter")])
 def test_engine_megabatch_matches_scalar_engine(factory, adapter_fixture,
+                                                scalar_simulator, digest,
                                                 corpus_blocks, request):
+    # The engine falls back to per-block predict_timing for a simulator
+    # without predict_timing_batch; both paths must agree bit for bit.
     adapter = request.getfixturevalue(adapter_fixture)
     tables = [_sampled_table(adapter, seed) for seed in (1, 2)]
-    fast = factory(megabatch=True).run(tables, corpus_blocks)
-    slow = factory(megabatch=False).run(tables, corpus_blocks)
+    fast_engine = factory()
+    fast = fast_engine.run(tables, corpus_blocks)
+    slow_engine = SimulationEngine(scalar_simulator, digest)
+    slow = slow_engine.run(tables, corpus_blocks)
     assert np.array_equal(fast, slow)
+    assert fast_engine.stats["megabatch_batches"] == len(tables)
+    assert slow_engine.stats["megabatch_batches"] == 0
 
 
 def test_engine_cache_interleavings(mca_adapter, corpus_blocks):
@@ -230,7 +252,7 @@ def test_engine_cache_interleavings(mca_adapter, corpus_blocks):
     # and misses interleave arbitrarily; gathered megabatches must scatter
     # every miss to the right position.
     tables = [_sampled_table(mca_adapter, seed) for seed in (3, 4)]
-    engine = mca_engine(megabatch=True)
+    engine = mca_engine()
     engine.run_one(tables[0], corpus_blocks[:16])
     mixed = list(corpus_blocks[8:32]) + list(corpus_blocks[:8])
     result = engine.run(tables, mixed)
@@ -244,12 +266,10 @@ def test_engine_cache_interleavings(mca_adapter, corpus_blocks):
 def test_engine_parallel_chunked_fanout_deterministic(mca_adapter,
                                                       corpus_blocks):
     tables = [_sampled_table(mca_adapter, seed) for seed in (5, 6)]
-    serial = mca_engine(num_workers=0, megabatch=True).run(tables,
-                                                           corpus_blocks)
-    parallel_engine = mca_engine(num_workers=2, megabatch=True)
+    serial = mca_engine(num_workers=0).run(tables, corpus_blocks)
+    parallel_engine = mca_engine(num_workers=2)
     parallel = parallel_engine.run(tables, corpus_blocks)
     assert np.array_equal(parallel, serial)
-    again = mca_engine(num_workers=2, megabatch=True).run(tables,
-                                                          corpus_blocks)
+    again = mca_engine(num_workers=2).run(tables, corpus_blocks)
     assert np.array_equal(again, serial)
     assert parallel_engine.stats["parallel_batches"] == 1

@@ -1,8 +1,10 @@
 """The batched surrogate-training fast path vs the per-example reference.
 
-The contract (ISSUE 3 tentpole): batched and scalar forward/backward agree
-within 1e-9, for every surrogate variant, so flipping
-``SurrogateTrainingConfig(batched=...)`` changes throughput and nothing else.
+The contract: batched and scalar forward/backward agree within 1e-9, for
+every surrogate variant, so training a surrogate through ``forward_batch``
+changes throughput and nothing else.  The scalar reference is the same model
+reporting ``supports_batched_forward = False``, which makes training and
+evaluation take the per-example loop.
 A hypothesis property test drives the comparison over random block subsets
 and parameter tables; deterministic tests cover the
 :class:`~repro.core.surrogate.FeaturizationCache` packing, the training-loop
@@ -20,8 +22,8 @@ from repro.bhive import BlockGenerator
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import surrogate_loss
 from repro.core.simulated_dataset import collect_simulated_dataset
-from repro.core.surrogate import (FeaturizationCache, SurrogateConfig,
-                                  build_surrogate)
+from repro.core.surrogate import (FeaturizationCache, PooledSurrogate,
+                                  SurrogateConfig, build_surrogate)
 from repro.core.surrogate import BlockFeaturizer
 from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_surrogate,
                                            train_surrogate)
@@ -51,6 +53,12 @@ def _build(adapter, kind, seed=0):
                              num_lstm_layers=2, seed=seed)
     return build_surrogate(adapter.parameter_spec(), BlockFeaturizer(adapter.opcode_table),
                            config)
+
+
+def _per_example(surrogate):
+    """The per-example reference: the same model without a batched forward."""
+    surrogate.supports_batched_forward = False
+    return surrogate
 
 
 def _scalar_and_batched(surrogate, adapter, blocks, tables):
@@ -184,10 +192,11 @@ class TestFeaturizationCache:
 class TestTrainingPaths:
     def test_batched_and_scalar_training_agree(self, adapter, simulated):
         results = {}
+        config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0)
         for batched in (False, True):
             surrogate = _build(adapter, "pooled")
-            config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0,
-                                             batched=batched)
+            if not batched:
+                _per_example(surrogate)
             results[batched] = train_surrogate(surrogate, simulated, config)
         assert results[True].used_batched_path
         assert not results[False].used_batched_path
@@ -197,24 +206,29 @@ class TestTrainingPaths:
                    - results[False].final_training_error) < 1e-7
 
     def test_scalar_path_never_calls_forward_batch(self, adapter, simulated):
-        # batched=False must be the full per-example reference — including
-        # the final evaluation pass inside train_surrogate.
-        surrogate = _build(adapter, "pooled")
+        # Without the capability the run is the full per-example reference —
+        # including the final evaluation pass inside train_surrogate.
+        surrogate = _per_example(_build(adapter, "pooled"))
 
         def _boom(*_args, **_kwargs):
             raise AssertionError("forward_batch used on the scalar path")
 
         surrogate.forward_batch = _boom
-        config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0,
-                                         batched=False)
+        config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0)
         result = train_surrogate(surrogate, simulated, config)
         assert not result.used_batched_path
         assert np.isfinite(result.final_training_error)
 
     def test_batched_flag_falls_back_without_forward_batch(self, adapter, simulated):
-        surrogate = _build(adapter, "pooled")
-        surrogate.supports_batched_forward = False
-        config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0, batched=True)
+        # A plugin surrogate class that declares no batched forward.
+        class NoBatchSurrogate(PooledSurrogate):
+            supports_batched_forward = False
+
+        surrogate = NoBatchSurrogate(adapter.parameter_spec(),
+                                     BlockFeaturizer(adapter.opcode_table),
+                                     SurrogateConfig(kind="pooled", embedding_size=8,
+                                                     hidden_size=12))
+        config = SurrogateTrainingConfig(epochs=1, batch_size=16, seed=0)
         result = train_surrogate(surrogate, simulated, config)
         assert not result.used_batched_path
         assert np.isfinite(result.final_training_error)
@@ -222,7 +236,7 @@ class TestTrainingPaths:
     def test_evaluate_surrogate_batched_matches_per_example(self, adapter, simulated):
         surrogate = _build(adapter, "analytical")
         batched_error = evaluate_surrogate(surrogate, simulated, batch_size=16)
-        scalar_error = evaluate_surrogate(surrogate, simulated, batch_size=0)
+        scalar_error = evaluate_surrogate(_per_example(surrogate), simulated)
         assert abs(batched_error - scalar_error) < 1e-9
 
     def test_throughput_metadata_populated(self, adapter, simulated):

@@ -1,9 +1,10 @@
 """The batched phase-two fast path vs the per-block reference.
 
-The contract (ISSUE 4 tentpole): batched and per-block table optimization
-agree within 1e-9 in per-epoch loss — frozen masks included — so flipping
-``TableOptimizationConfig(batched=...)`` changes throughput and nothing
-else.  A hypothesis property test drives the comparison over random block
+The contract: batched and per-block table optimization agree within 1e-9 in
+per-epoch loss — frozen masks included — so driving the surrogate through
+``forward_batch`` changes throughput and nothing else.  The per-block
+reference is the same surrogate reporting ``supports_batched_forward =
+False``.  A hypothesis property test drives the comparison over random block
 subsets, seeds, and frozen-mask settings; deterministic tests cover each
 surrogate variant, the scatter-add/frozen-mask interaction, the automatic
 fallback for surrogates without ``forward_batch``, and the once-per-run
@@ -48,6 +49,12 @@ def _build(adapter, kind, seed=0):
                            config)
 
 
+def _per_block(surrogate):
+    """The per-block reference: the same model without a batched forward."""
+    surrogate.supports_batched_forward = False
+    return surrogate
+
+
 def _writelatency_masks(spec):
     """Freeze everything except WriteLatency (the Section VI-B setting)."""
     per_mask = np.ones(spec.per_instruction_dim, dtype=bool)
@@ -64,9 +71,10 @@ def _both_paths(adapter, kind, blocks, timings, config_kwargs, frozen=False,
     results = {}
     for batched in (False, True):
         surrogate = _build(adapter, kind)
+        if not batched:
+            _per_block(surrogate)
         results[batched] = optimize_parameter_table(
-            surrogate, blocks, timings,
-            TableOptimizationConfig(batched=batched, **config_kwargs),
+            surrogate, blocks, timings, TableOptimizationConfig(**config_kwargs),
             initial_arrays=initial,
             frozen_per_instruction_mask=masks[0],
             frozen_global_mask=masks[1])
@@ -151,14 +159,7 @@ class TestExecutionPathSelection:
                                                      hidden_size=12))
         result = optimize_parameter_table(
             surrogate, blocks, timings,
-            TableOptimizationConfig(batch_size=4, epochs=1, batched=True))
-        assert result.used_batched_path is False
-
-    def test_batched_off_by_config(self, adapter, blocks, timings):
-        surrogate = _build(adapter, "pooled")
-        result = optimize_parameter_table(
-            surrogate, blocks, timings,
-            TableOptimizationConfig(batch_size=4, epochs=1, batched=False))
+            TableOptimizationConfig(batch_size=4, epochs=1))
         assert result.used_batched_path is False
         assert result.examples_per_second > 0
 
@@ -166,7 +167,7 @@ class TestExecutionPathSelection:
                                                        timings):
         """Regression (ISSUE 4 satellite): featurization is hoisted out of the
         epoch loop, so a multi-epoch run hits the featurizer once per block."""
-        surrogate = _build(adapter, "pooled")
+        surrogate = _per_block(_build(adapter, "pooled"))
         calls = []
         original = surrogate.featurizer.featurize
 
@@ -177,7 +178,7 @@ class TestExecutionPathSelection:
         surrogate.featurizer.featurize = counting_featurize
         optimize_parameter_table(
             surrogate, blocks, timings,
-            TableOptimizationConfig(batch_size=4, epochs=3, batched=False))
+            TableOptimizationConfig(batch_size=4, epochs=3))
         assert len(calls) == len(blocks)
 
 
