@@ -8,21 +8,23 @@ the simulator's prediction for the block.  The surrogate is then trained to
 map ``(parameters, block) -> simulated timing``.
 
 Simulation requests flow through the adapter's shared
-:class:`~repro.engine.engine.SimulationEngine`, so block compilations are
-reused across all sampled tables and any (table, block) pair already
-evaluated elsewhere in the pipeline is served from the engine's result
-cache.
+:class:`~repro.engine.engine.SimulationEngine` one round of sampled tables
+(about one megabatch chunk of lanes) at a time, each round one multi-table
+kernel call.  Block compilations are reused across all sampled tables, and
+any (table, block) pair already evaluated elsewhere in the pipeline is
+served from the engine's result cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.adapters import SimulatorAdapter
 from repro.core.parameters import ParameterArrays
+from repro.engine.megabatch import DEFAULT_MEGABATCH_CHUNK
 from repro.isa.basic_block import BasicBlock
 
 
@@ -39,6 +41,26 @@ class SimulatedExample:
     block_index: int
     block: BasicBlock
     simulated_timing: float
+
+
+def example_tables(examples: Sequence[SimulatedExample]
+                   ) -> Tuple[List[ParameterArrays], np.ndarray]:
+    """The distinct table objects of ``examples`` and each example's index.
+
+    Collection shares one table object among the examples drawn with it, so
+    deduplicating by identity recovers the sampled tables in sampling
+    (first-appearance) order.
+    """
+    slots: Dict[int, int] = {}
+    tables: List[ParameterArrays] = []
+    example_table = np.empty(len(examples), dtype=np.int64)
+    for position, example in enumerate(examples):
+        slot = slots.get(id(example.arrays))
+        if slot is None:
+            slot = slots[id(example.arrays)] = len(tables)
+            tables.append(example.arrays)
+        example_table[position] = slot
+    return tables, example_table
 
 
 def collect_simulated_dataset(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock],
@@ -93,57 +115,62 @@ def iter_simulated_rounds(adapter: SimulatorAdapter, blocks: Sequence[BasicBlock
 
     Yields ``(arrays, block_indices, selected_blocks, timings)`` per sampled
     table, in exactly the order :func:`collect_simulated_dataset` records
-    examples.  The rng draw stream is invariant to the engine's round
-    grouping: each table draw is followed immediately by its block-index
-    draw, and the chunk size depends only on how many examples are planned
-    so far — so a run resumed from ``already_collected`` examples (with the
-    rng restored to its position at that point) continues bit-identically,
-    whatever worker count either run used.
+    examples.  Tables are drawn in rounds of ``DEFAULT_MEGABATCH_CHUNK //
+    blocks_per_table`` and each round is one ``SimulationEngine.run_pairs``
+    call: wide multi-table kernel chunks instead of one skinny table.
+
+    The rng draw stream is that of drawing one table at a time: each table
+    draw is followed immediately by its block-index draw, and evaluation
+    draws nothing.  Before each yield the rng is set to the position right
+    after that table's draws, so a consumer that checkpoints the rng at a
+    yield (with the examples yielded so far) resumes bit-identically.
 
     Args:
         already_collected: Number of examples already produced by a previous
             (checkpointed) run; iteration resumes mid-stream after them.
-            Must sit on a table boundary — i.e. be a value some prefix of
-            rounds adds up to — which every multiple of ``blocks_per_table``
-            (and ``num_examples`` itself) is.
+            Must sit on a table boundary: a multiple of ``blocks_per_table``,
+            or ``num_examples`` itself.
     """
     if num_examples < 1:
         raise ValueError("num_examples must be >= 1")
+    if blocks_per_table < 1:
+        raise ValueError("blocks_per_table must be >= 1")
     if len(blocks) == 0:
         raise ValueError("need at least one block to build the simulated dataset")
     if already_collected < 0 or already_collected > num_examples:
         raise ValueError("already_collected must be within [0, num_examples]")
+    if already_collected % blocks_per_table and already_collected != num_examples:
+        raise ValueError(
+            f"already_collected={already_collected} is not on a table "
+            f"boundary: it must be a multiple of blocks_per_table="
+            f"{blocks_per_table} or equal num_examples={num_examples}")
     spec = adapter.parameter_spec()
     try:
         engine = adapter.engine
     except NotImplementedError:
         engine = None
-    # With engine workers configured, tables are drawn in rounds and fanned
-    # out across processes.  All rng draws happen in the drawing phase and
-    # evaluation consumes none, so the sampled sequence — and therefore the
-    # dataset — is identical to the serial path.
-    parallel = engine is not None and engine.num_workers > 1
-    tables_per_round = engine.num_workers * 2 if parallel else 1
+    tables_per_round = max(1, DEFAULT_MEGABATCH_CHUNK // blocks_per_table)
 
-    collected = already_collected
-    while collected < num_examples:
-        planned = collected
+    planned = already_collected
+    while planned < num_examples:
         drawn = []
         while len(drawn) < tables_per_round and planned < num_examples:
             arrays = table_sampler(rng) if table_sampler is not None else spec.sample(rng)
             chunk = min(blocks_per_table, num_examples - planned)
             block_indices = rng.integers(0, len(blocks), size=chunk)
             selected = [blocks[int(index)] for index in block_indices]
-            drawn.append((arrays, block_indices, selected))
+            drawn.append((arrays, block_indices, selected, rng.bit_generator.state))
             planned += chunk
-        if parallel and len(drawn) > 1:
+        if engine is not None:
             timing_rows = engine.run_pairs(
-                [(adapter.native_table(arrays), selected) for arrays, _, selected in drawn])
+                [(adapter.native_table(arrays), selected)
+                 for arrays, _, selected, _ in drawn])
         else:
             timing_rows = [adapter.predict_timings(arrays, selected)
-                           for arrays, _, selected in drawn]
-        for (arrays, block_indices, selected), timings in zip(drawn, timing_rows):
-            collected += len(block_indices)
+                           for arrays, _, selected, _ in drawn]
+        for (arrays, block_indices, selected, state), timings in zip(drawn,
+                                                                     timing_rows):
+            rng.bit_generator.state = state
             yield arrays, block_indices, selected, np.asarray(timings, dtype=np.float64)
 
 

@@ -314,8 +314,10 @@ def pack_block_arrays(per_block: Sequence[Dict[str, np.ndarray]]) -> PackedBlock
         dependency_mask=dependency, loop_carried_mask=loop_carried)
 
 
-#: Process-wide featurization-cache counters, aggregated across every
-#: :class:`FeaturizationCache` instance and surfaced by ``Session.stats()``.
+#: Process-wide featurization counters, aggregated across every
+#: :class:`FeaturizationCache` and :class:`NormalizedTables` instance and
+#: surfaced by ``Session.stats()``.  Tables are normalized once per run and
+#: never evicted, so ``table_evictions`` stays at zero.
 _CACHE_COUNTERS: Dict[str, int] = {
     "block_hits": 0, "block_misses": 0, "block_evictions": 0,
     "table_hits": 0, "table_misses": 0, "table_evictions": 0,
@@ -327,63 +329,29 @@ def featurization_cache_stats() -> Dict[str, int]:
     return dict(_CACHE_COUNTERS)
 
 
-def reset_featurization_cache_stats() -> None:
-    """Zero the process-wide counters (test/bench isolation)."""
-    for key in _CACHE_COUNTERS:
-        _CACHE_COUNTERS[key] = 0
-
-
 class FeaturizationCache:
     """Featurizes each basic block once per dataset and packs minibatches.
 
-    Wraps a :class:`BlockFeaturizer` with two levels of reuse the batched
-    training fast path needs:
-
-    * per-block packed arrays (token-id matrix, masks, structural features,
-      dependency masks) are computed once per distinct block and reused by
-      every minibatch that contains the block in any epoch;
-    * parameter-array normalization
-      (:meth:`ParameterSpec.normalize_for_surrogate_training`) is memoized
-      per sampled table, so a table shared by ``blocks_per_table`` examples
-      is normalized once per dataset rather than once per example per epoch.
-
-    Both memos are keyed by *content digest* (not object identity), so equal
-    content hits regardless of which object carries it, and both are bounded
-    LRUs: corpus-scale runs stream millions of blocks through a cache whose
-    footprint stays at ``max_blocks``/``max_tables`` entries.  Hit, miss, and
-    eviction counters aggregate process-wide
-    (:func:`featurization_cache_stats`).
+    Wraps a :class:`BlockFeaturizer` and memoizes per-block packed arrays
+    (token-id matrix, masks, structural features, dependency masks), keyed by
+    *content digest* (not object identity) so equal content hits regardless
+    of which object carries it.  The memo is a bounded LRU: corpus-scale
+    runs stream millions of blocks through a cache whose footprint stays at
+    ``max_blocks`` entries.  Hit, miss, and eviction counters aggregate
+    process-wide (:func:`featurization_cache_stats`).  Parameter tables are
+    not cached here: training normalizes each one once per run through
+    :class:`NormalizedTables`.
     """
 
-    def __init__(self, featurizer: BlockFeaturizer, max_blocks: int = 65536,
-                 max_tables: int = 8192) -> None:
-        if max_blocks <= 0 or max_tables <= 0:
+    def __init__(self, featurizer: BlockFeaturizer, max_blocks: int = 65536) -> None:
+        if max_blocks <= 0:
             raise ValueError("cache bounds must be positive")
         self.featurizer = featurizer
         self.max_blocks = max_blocks
-        self.max_tables = max_tables
         self._block_arrays: "OrderedDict[str, Dict[str, np.ndarray]]" = OrderedDict()
-        self._normalized: "OrderedDict[str, ParameterArrays]" = OrderedDict()
 
     def featurize(self, block: BasicBlock) -> FeaturizedBlock:
         return self.featurizer.featurize(block)
-
-    def normalized_arrays(self, spec: ParameterSpec,
-                          arrays: ParameterArrays) -> ParameterArrays:
-        """``arrays`` normalized for surrogate training, memoized per table."""
-        key = table_digest(arrays)
-        cached = self._normalized.get(key)
-        if cached is not None:
-            _CACHE_COUNTERS["table_hits"] += 1
-            self._normalized.move_to_end(key)
-            return cached
-        _CACHE_COUNTERS["table_misses"] += 1
-        normalized = spec.normalize_for_surrogate_training(arrays)
-        self._normalized[key] = normalized
-        while len(self._normalized) > self.max_tables:
-            self._normalized.popitem(last=False)
-            _CACHE_COUNTERS["table_evictions"] += 1
-        return normalized
 
     def arrays_for(self, featurized: FeaturizedBlock) -> Dict[str, np.ndarray]:
         """Per-block packed arrays (unpadded), memoized by content digest."""
@@ -411,37 +379,59 @@ class FeaturizationCache:
         return pack_block_arrays(
             [self._arrays_for(featurized) for featurized in featurized_blocks])
 
-    def pack_blocks(self, blocks: Sequence[BasicBlock]) -> PackedBlockBatch:
-        """Featurize (cached) and pack a list of raw basic blocks."""
-        return self.pack([self.featurize(block) for block in blocks])
 
-    def batch_parameters(self, spec: ParameterSpec,
-                         featurized_blocks: Sequence[FeaturizedBlock],
-                         tables: Sequence[ParameterArrays],
-                         max_instructions: Optional[int] = None
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Normalized per-instruction and global parameter inputs for a batch.
+class NormalizedTables:
+    """Sampled parameter tables normalized once, addressed by example.
 
-        ``tables[b]`` is the (raw) sampled table of example ``b``;
-        normalization is memoized per table object.  Returns
-        ``(B, I, per_instruction_dim)`` and ``(B, global_dim)`` arrays with
-        zero padding past each block's real length.
+    Surrogate training and evaluation carry a per-example table index
+    instead of digesting each example's table: every distinct table is
+    normalized (:meth:`ParameterSpec.normalize_for_surrogate_training`) once
+    per run, the results are stacked, and a minibatch's parameter inputs
+    are one gather.  The process-wide ``table_misses`` counter counts the
+    normalized tables and ``table_hits`` the examples that reuse one.
+
+    Args:
+        spec: The parameter spec the surrogate was built for.
+        tables: The distinct raw tables.
+        example_table: ``(N,)`` index into ``tables`` of each example's table.
+    """
+
+    def __init__(self, spec: ParameterSpec, tables: Sequence[ParameterArrays],
+                 example_table: Sequence[int]) -> None:
+        normalized = spec.normalize_for_surrogate_training(ParameterArrays(
+            global_values=np.stack([table.global_values for table in tables]),
+            per_instruction_values=np.stack([table.per_instruction_values
+                                             for table in tables])))
+        #: ``(T, num_opcodes, per_instruction_dim)`` normalized values.
+        self.per_instruction = normalized.per_instruction_values
+        #: ``(T, global_dim)`` normalized values.
+        self.global_values = normalized.global_values
+        self.example_table = np.asarray(example_table, dtype=np.int64)
+        _CACHE_COUNTERS["table_misses"] += len(tables)
+        _CACHE_COUNTERS["table_hits"] += len(self.example_table) - len(tables)
+
+    def example_inputs(self, row: int, opcode_indices: Sequence[int]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(len(block), per_instruction_dim)`` rows and the global vector."""
+        table = self.example_table[row]
+        return (self.per_instruction[table][list(opcode_indices)],
+                self.global_values[table])
+
+    def batch_inputs(self, rows: np.ndarray, batch: PackedBlockBatch
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Parameter inputs of the examples ``rows`` packed as ``batch``.
+
+        Returns ``(B, I, per_instruction_dim)`` and ``(B, global_dim)``
+        arrays, zero past each block's real length.
         """
-        if len(featurized_blocks) != len(tables):
-            raise ValueError("featurized_blocks and tables must be aligned")
-        batch = len(tables)
-        if max_instructions is None:
-            max_instructions = max(len(featurized.opcode_indices)
-                                   for featurized in featurized_blocks)
-        per_instruction = np.zeros((batch, max_instructions, spec.per_instruction_dim))
-        global_values = np.zeros((batch, spec.global_dim))
-        for row, (featurized, table) in enumerate(zip(featurized_blocks, tables)):
-            normalized = self.normalized_arrays(spec, table)
-            opcodes = np.asarray(featurized.opcode_indices, dtype=np.int64)
-            per_instruction[row, :len(opcodes)] = \
-                normalized.per_instruction_values[opcodes]
-            global_values[row] = normalized.global_values
-        return per_instruction, global_values
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) != batch.batch_size:
+            raise ValueError("rows and batch must be aligned")
+        tables = self.example_table[rows]
+        per_instruction = self.per_instruction[tables[:, None],
+                                               batch.opcode_indices]
+        per_instruction[batch.instruction_mask == 0] = 0.0
+        return per_instruction, self.global_values[tables]
 
 
 class _SurrogateBase(Module):
@@ -466,7 +456,7 @@ class _SurrogateBase(Module):
         ``per_instruction_params`` is ``(B, I, per_instruction_dim)`` and
         ``global_params`` is ``(B, global_dim)`` (both already normalized and
         gathered per block, e.g. by
-        :meth:`FeaturizationCache.batch_parameters`).  Semantically identical
+        :meth:`NormalizedTables.batch_inputs`).  Semantically identical
         to calling :meth:`forward` per example — the property tests pin the
         two paths together within 1e-9.
         """
@@ -1013,22 +1003,21 @@ class AnalyticalSurrogate(_SurrogateBase):
         # The dataflow traversal runs position-major over the whole batch:
         # each step is a handful of vectorized (B,)-shaped ops, with the
         # per-example producer sets expressed through the dependency mask.
+        # (consumer, producer) pairs and writers no example has are skipped,
+        # found with one reduction per batch instead of one per pair.
         zero = Tensor(np.zeros(batch_size))
+        linked = batch.dependency_mask.any(axis=0)
         finish: List[Tensor] = []
         for index in range(batch.max_instructions):
             ready = zero
-            for producer in range(index):
-                producer_mask = batch.dependency_mask[:, index, producer]
-                if not producer_mask.any():
-                    continue
-                ready = self._masked_running_max(ready, finish[producer], producer_mask)
+            for producer in np.flatnonzero(linked[index, :index]):
+                ready = self._masked_running_max(
+                    ready, finish[producer], batch.dependency_mask[:, index, producer])
             finish.append(ready + effective[:, index])
         bound = zero
-        for writer in range(batch.max_instructions):
-            writer_mask = batch.loop_carried_mask[:, writer]
-            if not writer_mask.any():
-                continue
-            bound = self._masked_running_max(bound, finish[writer], writer_mask)
+        for writer in np.flatnonzero(batch.loop_carried_mask.any(axis=0)):
+            bound = self._masked_running_max(bound, finish[writer],
+                                             batch.loop_carried_mask[:, writer])
         return bound
 
     def _rob_bound_batch(self, batch: PackedBlockBatch, params: Tensor,

@@ -5,9 +5,12 @@ Solves Equation (2) of the paper: fit the differentiable surrogate so that
 Adam and MAPE loss.
 
 Training featurizes every block once per dataset through a
-:class:`~repro.core.surrogate.FeaturizationCache`, normalizes each sampled
-parameter table once, and advances a whole padded minibatch per autodiff op
-via the surrogate's ``forward_batch``.  A surrogate without a batched forward
+:class:`~repro.core.surrogate.FeaturizationCache`, looks up each example's
+packed block arrays once per run, normalizes each sampled parameter table
+once per run (:class:`~repro.core.surrogate.NormalizedTables`, addressed by a
+per-example table index), and advances a whole padded minibatch per
+autodiff op via the surrogate's ``forward_batch``; a minibatch's parameter
+inputs are one gather.  A surrogate without a batched forward
 (``supports_batched_forward = False``, e.g. a registered plugin) is trained
 one example at a time instead; that per-example loop is also the reference
 the property tests pin the batched path to (within 1e-9).
@@ -23,10 +26,9 @@ import numpy as np
 from repro.autodiff.optim import Adam
 from repro.autodiff.tensor import no_grad
 from repro.core.losses import mape_loss_value, surrogate_loss
-from repro.core.parameters import ParameterSpec
-from repro.core.simulated_dataset import SimulatedExample
-from repro.core.surrogate import (FeaturizationCache, _SurrogateBase,
-                                  pack_block_arrays)
+from repro.core.simulated_dataset import SimulatedExample, example_tables
+from repro.core.surrogate import (FeaturizationCache, NormalizedTables,
+                                  _SurrogateBase, pack_block_arrays)
 from repro.core.training_loop import run_minibatch_loop
 
 
@@ -58,58 +60,50 @@ class SurrogateTrainingResult:
     examples_per_second: float = 0.0
 
 
-def _normalized_inputs(spec: ParameterSpec, example: SimulatedExample,
-                       opcode_indices: Sequence[int],
-                       cache: Optional[FeaturizationCache] = None) -> tuple:
-    """Surrogate inputs for one example during surrogate training."""
-    if cache is not None:
-        normalized = cache.normalized_arrays(spec, example.arrays)
-    else:
-        normalized = spec.normalize_for_surrogate_training(example.arrays)
-    per_instruction = normalized.per_instruction_values[list(opcode_indices)]
-    return per_instruction, normalized.global_values
+class _ExampleInputs:
+    """A run's surrogate inputs of a simulated dataset, addressed by example.
 
-
-def _batch_inputs(spec: ParameterSpec, cache: FeaturizationCache,
-                  examples: Sequence[SimulatedExample], featurized: Sequence,
-                  batch_indices: np.ndarray):
-    """Packed batch + parameter inputs + targets for one minibatch."""
-    rows = [int(index) for index in batch_indices]
-    batch_featurized = [featurized[row] for row in rows]
-    packed = cache.pack(batch_featurized)
-    per_instruction, global_values = cache.batch_parameters(
-        spec, batch_featurized, [examples[row].arrays for row in rows],
-        max_instructions=packed.max_instructions)
-    targets = [examples[row].simulated_timing for row in rows]
-    return packed, per_instruction, global_values, targets
-
-
-def is_streaming_examples(examples: Sequence) -> bool:
-    """Whether ``examples`` is an index-addressed streaming source.
-
-    Streaming sources (e.g. :class:`repro.corpus.streaming.StreamingExamples`)
-    expose per-index accessors instead of per-example objects, so training
-    never materializes a featurized list for the whole dataset.
+    Built once per training or evaluation run: each distinct table is
+    normalized once (:class:`~repro.core.surrogate.NormalizedTables`), and
+    each in-memory example's packed block arrays are looked up once, per
+    distinct featurized block.  A streaming source (e.g.
+    :class:`repro.corpus.streaming.StreamingExamples`, recognized by its
+    ``block_arrays`` accessor) serves block arrays itself, possibly
+    memory-mapped from disk, so no whole-dataset list of them is built.
     """
-    return hasattr(examples, "block_arrays")
 
+    def __init__(self, surrogate: _SurrogateBase, examples: Sequence,
+                 cache: FeaturizationCache) -> None:
+        spec = surrogate.spec
+        if hasattr(examples, "block_arrays"):
+            self.tables = NormalizedTables(spec, examples.tables,
+                                           examples.example_table)
+            self.targets = [examples.timing(row) for row in range(len(examples))]
+            self.block_arrays = examples.block_arrays
+            self.featurized = examples.featurized
+            return
+        featurized = [cache.featurize(example.block) for example in examples]
+        distinct = {id(block): block for block in featurized}
+        arrays = {key: cache.arrays_for(block) for key, block in distinct.items()}
+        self.tables = NormalizedTables(spec, *example_tables(examples))
+        self.targets = [example.simulated_timing for example in examples]
+        self.block_arrays = [arrays[id(block)] for block in featurized].__getitem__
+        self.featurized = featurized.__getitem__
 
-def _streaming_batch_inputs(spec: ParameterSpec, cache: FeaturizationCache,
-                            examples, batch_indices: np.ndarray):
-    """Streaming counterpart of :func:`_batch_inputs` (same float math)."""
-    rows = [int(index) for index in batch_indices]
-    packed = pack_block_arrays([examples.block_arrays(row) for row in rows])
-    per_instruction = np.zeros((len(rows), packed.max_instructions,
-                                spec.per_instruction_dim))
-    global_values = np.zeros((len(rows), spec.global_dim))
-    for position, row in enumerate(rows):
-        normalized = cache.normalized_arrays(spec, examples.table(row))
-        opcodes = examples.opcode_indices(row)
-        per_instruction[position, :len(opcodes)] = \
-            normalized.per_instruction_values[opcodes]
-        global_values[position] = normalized.global_values
-    targets = [examples.timing(row) for row in rows]
-    return packed, per_instruction, global_values, targets
+    def batch(self, rows: np.ndarray) -> tuple:
+        """Packed blocks, parameter inputs and targets of the examples ``rows``."""
+        rows = [int(row) for row in rows]
+        packed = pack_block_arrays([self.block_arrays(row) for row in rows])
+        per_instruction, global_values = self.tables.batch_inputs(rows, packed)
+        return (packed, per_instruction, global_values,
+                [self.targets[row] for row in rows])
+
+    def example(self, row: int) -> tuple:
+        """Featurized block, parameter inputs and target of example ``row``."""
+        featurized = self.featurized(row)
+        per_instruction, global_values = self.tables.example_inputs(
+            row, featurized.opcode_indices)
+        return featurized, per_instruction, global_values, self.targets[row]
 
 
 def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExample],
@@ -131,27 +125,14 @@ def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExamp
     """
     if not examples:
         raise ValueError("cannot train the surrogate on an empty dataset")
-    spec = surrogate.spec
     optimizer = Adam(surrogate.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     use_batched = surrogate.supports_batched_forward
-    streaming = is_streaming_examples(examples)
-
-    # Featurize each distinct block once for the whole run; the cache also
-    # memoizes per-table normalization and per-block packed arrays.  A
-    # streaming source serves per-block arrays itself (possibly memory-mapped
-    # from disk), so no whole-dataset featurized list is materialized.
-    cache = FeaturizationCache(surrogate.featurizer)
-    featurized = ([] if streaming
-                  else [cache.featurize(example.block) for example in examples])
+    inputs = _ExampleInputs(surrogate, examples,
+                            FeaturizationCache(surrogate.featurizer))
 
     def _batched_loss(batch_indices: np.ndarray):
-        if streaming:
-            packed, per_instruction, global_values, targets = \
-                _streaming_batch_inputs(spec, cache, examples, batch_indices)
-        else:
-            packed, per_instruction, global_values, targets = _batch_inputs(
-                spec, cache, examples, featurized, batch_indices)
+        packed, per_instruction, global_values, targets = inputs.batch(batch_indices)
         predictions = surrogate.forward_batch(packed, per_instruction, global_values)
         return surrogate_loss(predictions, targets)
 
@@ -159,22 +140,10 @@ def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExamp
         predictions = []
         targets = []
         for example_index in batch_indices:
-            row = int(example_index)
-            if streaming:
-                example_featurized = examples.featurized(row)
-                normalized = cache.normalized_arrays(spec, examples.table(row))
-                per_instruction = normalized.per_instruction_values[
-                    list(example_featurized.opcode_indices)]
-                global_values = normalized.global_values
-                target = examples.timing(row)
-            else:
-                example = examples[row]
-                example_featurized = featurized[row]
-                per_instruction, global_values = _normalized_inputs(
-                    spec, example, example_featurized.opcode_indices, cache)
-                target = example.simulated_timing
-            predictions.append(surrogate.forward(
-                example_featurized, per_instruction, global_values))
+            featurized, per_instruction, global_values, target = inputs.example(
+                int(example_index))
+            predictions.append(surrogate.forward(featurized, per_instruction,
+                                                 global_values))
             targets.append(target)
         return surrogate_loss(predictions, targets)
 
@@ -187,7 +156,7 @@ def train_surrogate(surrogate: _SurrogateBase, examples: Sequence[SimulatedExamp
         log_every=config.log_every, progress=progress)
 
     surrogate.eval()
-    final_error = evaluate_surrogate(surrogate, examples, cache=cache)
+    final_error = _evaluate(surrogate, inputs, len(examples), batch_size=64)
     return SurrogateTrainingResult(
         epoch_losses=loop.epoch_losses, final_training_error=final_error,
         used_batched_path=use_batched,
@@ -207,45 +176,26 @@ def evaluate_surrogate(surrogate: _SurrogateBase,
         raise ValueError("cannot evaluate the surrogate on an empty dataset")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    spec = surrogate.spec
-    cache = cache or FeaturizationCache(surrogate.featurizer)
-    streaming = is_streaming_examples(examples)
+    inputs = _ExampleInputs(surrogate, examples,
+                            cache or FeaturizationCache(surrogate.featurizer))
+    return _evaluate(surrogate, inputs, len(examples), batch_size)
+
+
+def _evaluate(surrogate: _SurrogateBase, inputs: _ExampleInputs,
+              count: int, batch_size: int) -> float:
     predictions: List[float] = []
-    if streaming:
-        targets = [examples.timing(row) for row in range(len(examples))]
-    else:
-        targets = [example.simulated_timing for example in examples]
     with no_grad():
         if surrogate.supports_batched_forward:
-            featurized = ([] if streaming else
-                          [cache.featurize(example.block) for example in examples])
-            for chunk_start in range(0, len(examples), batch_size):
-                chunk = np.arange(chunk_start,
-                                  min(chunk_start + batch_size, len(examples)))
-                if streaming:
-                    packed, per_instruction, global_values, _ = \
-                        _streaming_batch_inputs(spec, cache, examples, chunk)
-                else:
-                    packed, per_instruction, global_values, _ = _batch_inputs(
-                        spec, cache, examples, featurized, chunk)
+            for chunk_start in range(0, count, batch_size):
+                chunk = np.arange(chunk_start, min(chunk_start + batch_size, count))
+                packed, per_instruction, global_values, _ = inputs.batch(chunk)
                 chunk_predictions = surrogate.forward_batch(
                     packed, per_instruction, global_values)
                 predictions.extend(float(value)
                                    for value in chunk_predictions.numpy())
-        elif streaming:
-            for row in range(len(examples)):
-                featurized_block = examples.featurized(row)
-                normalized = cache.normalized_arrays(spec, examples.table(row))
-                per_instruction = normalized.per_instruction_values[
-                    list(featurized_block.opcode_indices)]
-                predictions.append(surrogate.forward(
-                    featurized_block, per_instruction,
-                    normalized.global_values).item())
         else:
-            for example in examples:
-                featurized_block = cache.featurize(example.block)
-                per_instruction, global_values = _normalized_inputs(
-                    spec, example, featurized_block.opcode_indices, cache)
-                predictions.append(surrogate.forward(featurized_block, per_instruction,
-                                                     global_values).item())
-    return mape_loss_value(np.array(predictions), np.array(targets))
+            for row in range(count):
+                featurized, per_instruction, global_values, _ = inputs.example(row)
+                predictions.append(surrogate.forward(
+                    featurized, per_instruction, global_values).item())
+    return mape_loss_value(np.array(predictions), np.array(inputs.targets))

@@ -7,8 +7,8 @@ against the ground-truth dataset under MAPE loss.  During this phase the
 absolute value of lower-bounded parameters is taken before they are passed to
 the surrogate (Section IV, "Solving the optimization problems").
 
-Each run featurizes every block once through a
-:class:`~repro.core.surrogate.FeaturizationCache`, packs each minibatch into
+Each run featurizes every block and looks up its packed arrays once through
+a :class:`~repro.core.surrogate.FeaturizationCache`, packs each minibatch into
 one padded :class:`~repro.core.surrogate.PackedBlockBatch`, gathers the
 trainable table's rows for the whole batch with the scatter-add ``gather``
 primitive (so gradients of repeated opcodes accumulate into the same table
@@ -31,7 +31,8 @@ from repro.autodiff.optim import Adam
 from repro.autodiff.tensor import Tensor, gather
 from repro.core.losses import surrogate_loss
 from repro.core.parameters import ParameterArrays, ParameterSpec
-from repro.core.surrogate import FeaturizationCache, PackedBlockBatch, _SurrogateBase
+from repro.core.surrogate import (FeaturizationCache, PackedBlockBatch,
+                                  _SurrogateBase, pack_block_arrays)
 from repro.core.training_loop import run_minibatch_loop
 from repro.isa.basic_block import BasicBlock
 
@@ -185,15 +186,15 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
     surrogate.eval()
     use_batched = surrogate.supports_batched_forward
     targets = np.asarray(true_timings, dtype=np.float64)
-    # Featurize each distinct block once for the whole run — on *both* paths.
-    # The per-block path used to re-featurize inside the batch loop on every
-    # epoch, which was quadratically wasteful for multi-epoch runs.
+    # Featurize each block and look up its packed arrays once for the whole
+    # run, not once per minibatch.
     cache = FeaturizationCache(surrogate.featurizer)
     featurized = [cache.featurize(block) for block in blocks]
+    block_arrays = [cache.arrays_for(block) for block in featurized]
 
     def _batched_loss(batch_indices: np.ndarray):
         rows = [int(index) for index in batch_indices]
-        packed = cache.pack([featurized[row] for row in rows])
+        packed = pack_block_arrays([block_arrays[row] for row in rows])
         per_instruction, global_matrix = table.surrogate_inputs_batch(packed)
         predictions = surrogate.forward_batch(packed, per_instruction, global_matrix)
         return surrogate_loss(predictions, [float(targets[row]) for row in rows])

@@ -17,7 +17,7 @@ pipeline:
   uninterrupted run's byte for byte.
 * :class:`StreamingExamples` — the duck-typed example source
   :func:`repro.core.surrogate_training.train_surrogate` streams from:
-  per-example timings/tables by index, per-block packed arrays served from a
+  per-example timings and table indices, per-block packed arrays served from a
   :class:`~repro.corpus.store.ShardedFeaturizationStore` mmap when available
   (falling back to bounded in-memory featurization).
 """
@@ -254,7 +254,7 @@ class StreamingExamples:
     Presents a :class:`StreamingSimulatedDataset` to
     :func:`~repro.core.surrogate_training.train_surrogate` through the
     index-addressed protocol its streaming branch consumes (``__len__``,
-    ``timing``, ``table``, ``block_arrays``, ``opcode_indices``,
+    ``timing``, ``tables``, ``example_table``, ``block_arrays``,
     ``featurized``) — per-block arrays come from the featurization store's
     memory maps when one is attached, otherwise from bounded on-the-fly
     featurization of the (lazily parsed) blocks.
@@ -284,18 +284,21 @@ class StreamingExamples:
     def timing(self, index: int) -> float:
         return float(self.dataset.example_timing[int(index)])
 
-    def table(self, index: int) -> ParameterArrays:
-        return self.dataset.tables[int(self.dataset.example_table[int(index)])]
+    @property
+    def tables(self) -> List[ParameterArrays]:
+        """The sampled tables, in sampling order."""
+        return self.dataset.tables
+
+    @property
+    def example_table(self) -> List[int]:
+        """Index into :attr:`tables` of each example's table."""
+        return self.dataset.example_table
 
     def block_arrays(self, index: int) -> Dict[str, np.ndarray]:
         position = self._block_position(index)
         if self.store is not None:
             return self.store.arrays_for_index(self._global_block_index(position))
         return self.cache.arrays_for(self.cache.featurize(self.blocks[position]))
-
-    def opcode_indices(self, index: int) -> np.ndarray:
-        return np.asarray(self.block_arrays(index)["opcode_indices"],
-                          dtype=np.int64)
 
     def featurized(self, index: int):
         """The :class:`FeaturizedBlock` (per-example fallback path)."""

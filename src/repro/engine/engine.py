@@ -10,18 +10,22 @@ serves that request through one path:
 2. results are cached in an LRU keyed by ``(table_digest, block_id)``, so
    searchers that re-evaluate overlapping table/block pairs (random search,
    annealing, genetic, coordinate descent) never recompute a pair;
-3. cache misses are gathered and executed as *megabatches* — one
-   numpy-vectorized kernel invocation per table over every missing block
-   (see :mod:`repro.engine.megabatch`) — and scattered back through the
-   cache.  A simulator without ``predict_timing_batch`` (a third-party
-   plugin, say) is served block by block through ``predict_timing``;
-4. with workers configured, megabatches are chunked across a
-   ``multiprocessing`` pool (several tasks per worker rather than one
-   monolithic task per table) with deterministic reassembly.
+3. cache misses of *every* table in a request are gathered into one
+   list of (table, block) lanes and executed as one multi-table
+   *megabatch* — a numpy-vectorized kernel call in which each lane carries
+   its own table (see :mod:`repro.engine.megabatch`) — then scattered back
+   through the cache.  A simulator without the multi-table kernel
+   (``predict_timing_lanes``) is served table by table through
+   ``predict_timing_batch``, and one without that either (a third-party
+   plugin, say) block by block through ``predict_timing``;
+4. with workers configured, a request of several pairs splits its lanes
+   into a few contiguous segments per worker of a ``multiprocessing`` pool,
+   with deterministic reassembly.
 
 The engine is simulator-agnostic: it is constructed from a
 ``simulator_factory`` (native table -> simulator with ``predict_timing``
-and optionally ``predict_timing_batch``) and a ``table_digest`` function.
+and optionally ``predict_timing_batch`` / ``predict_timing_lanes``) and a
+``table_digest`` function.
 :mod:`repro.engine.factories` provides the two concrete constructions for
 llvm-mca and llvm_sim.
 """
@@ -41,38 +45,50 @@ from repro.isa.basic_block import BasicBlock
 #: (tens of thousands of table evaluations x a batch of blocks).
 DEFAULT_CACHE_SIZE = 1 << 17
 
-#: Which ``predict_timing_batch`` implementations accept a ``compiled``
-#: keyword (keyed by the underlying function, checked once per simulator
-#: class).  Third-party simulators may predate the parameter.
-_ACCEPTS_COMPILED: Dict[Any, bool] = {}
+
+def _simulate_lanes(simulators: Sequence[Any], blocks: Sequence[BasicBlock],
+                    table_index: np.ndarray,
+                    compiled: Optional[Sequence[Any]] = None
+                    ) -> Tuple[List[float], int]:
+    """Timing of ``blocks[k]`` under ``simulators[table_index[k]]``.
+
+    Returns the timings and how many of the tables a batch kernel served.
+    A simulator with the multi-table kernel (``predict_timing_lanes``) runs
+    every lane in one call; one without it is served table by table through
+    ``predict_timing_batch``, or block by block through ``predict_timing``
+    when it has no batch kernel either.
+    """
+    first = simulators[0]
+    if (getattr(first, "predict_timing_batch", None) is not None
+            and hasattr(first, "predict_timing_lanes")):
+        values = first.predict_timing_lanes(simulators, blocks, table_index,
+                                            compiled=compiled)
+        # ndarray -> Python floats in one C call rather than a scalar
+        # conversion per element (the cache stores plain floats).
+        return np.asarray(values, dtype=np.float64).tolist(), len(simulators)
+    values = np.empty(len(blocks), dtype=np.float64)
+    batched = 0
+    for position, simulator in enumerate(simulators):
+        lanes = np.flatnonzero(table_index == position)
+        selected = [blocks[lane] for lane in lanes]
+        batch = getattr(simulator, "predict_timing_batch", None)
+        if batch is None:
+            values[lanes] = [simulator.predict_timing(block)
+                             for block in selected]
+            continue
+        batched += 1
+        values[lanes] = batch(selected)
+    return values.tolist(), batched
 
 
-def _accepts_compiled(batch: Callable[..., Any]) -> bool:
-    function = getattr(batch, "__func__", batch)
-    accepts = _ACCEPTS_COMPILED.get(function)
-    if accepts is None:
-        import inspect
-
-        try:
-            accepts = "compiled" in inspect.signature(function).parameters
-        except (TypeError, ValueError):
-            accepts = False
-        _ACCEPTS_COMPILED[function] = accepts
-    return accepts
-
-
-def _simulate_blocks_task(task: Any) -> List[float]:
-    """Worker entry point: simulate ``blocks`` under one table.
+def _simulate_lanes_task(task: Any) -> Tuple[List[float], int]:
+    """Worker entry point: one contiguous segment of a call's lanes.
 
     Module-level so it pickles under every multiprocessing start method.
-    Routes through the simulator's megabatch kernel when it provides one.
     """
-    simulator_factory, table, blocks = task
-    simulator = simulator_factory(table)
-    batch = getattr(simulator, "predict_timing_batch", None)
-    if batch is not None:
-        return [float(value) for value in batch(blocks)]
-    return [float(simulator.predict_timing(block)) for block in blocks]
+    simulator_factory, tables, blocks, table_index = task
+    return _simulate_lanes([simulator_factory(table) for table in tables],
+                           blocks, table_index)
 
 
 class SimulationEngine:
@@ -85,14 +101,14 @@ class SimulationEngine:
         table_digest: Content digest of a native table; together with the
             block digest it keys the result cache.
         cache_size: Capacity of the timing LRU cache.
-        num_workers: Opt-in process fan-out for :meth:`run`.  ``0`` or ``1``
-            executes serially in-process; ``>= 2`` chunks the missing
-            blocks of every table across a pool.  Results are deterministic
-            and identical to the serial path either way.
+        num_workers: Opt-in process fan-out for :meth:`run_pairs`.  ``0``
+            or ``1`` executes serially in-process; ``>= 2`` splits the
+            missing lanes of a multi-pair request across a pool.  Results
+            are deterministic and identical to the serial path either way.
 
-    Cache misses run through the simulator's vectorized
-    ``predict_timing_batch`` kernel when it has one, and block by block
-    through ``predict_timing`` otherwise; the two are bit-identical.
+    Cache misses run through the simulator's multi-table kernel when it has
+    one, and otherwise table by table or block by block (see
+    :func:`_simulate_lanes`); all paths are bit-identical.
     """
 
     def __init__(self, simulator_factory: Callable[[Any], Any],
@@ -131,51 +147,7 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def run_one(self, table: Any, blocks: Sequence[BasicBlock]) -> np.ndarray:
         """Timings of ``blocks`` under one table, shape ``(len(blocks),)``."""
-        digest = self._table_digest(table)
-        compiler = self._compiler_for(table.opcode_table)
-        timings = np.empty(len(blocks), dtype=np.float64)
-        # Misses are gathered (deduplicated by block content) into one
-        # megabatch per table, then scattered back through the cache.
-        missing: Dict[str, List[int]] = {}
-        unique_blocks: List[BasicBlock] = []
-        unique_compiled: List[Any] = []
-        for position, block in enumerate(blocks):
-            compiled_block = compiler.compile(block)
-            block_id = compiled_block.block_id
-            cached = self._results.get((digest, block_id))
-            if cached is None:
-                if block_id not in missing:
-                    unique_blocks.append(block)
-                    unique_compiled.append(compiled_block)
-                missing.setdefault(block_id, []).append(position)
-            else:
-                timings[position] = cached
-        if missing:
-            simulator = self._build_simulator(table, compiler)
-            values = self._predict_missing(simulator, unique_blocks,
-                                           unique_compiled)
-            self._executed += len(values)
-            for (block_id, positions), value in zip(missing.items(), values):
-                for position in positions:
-                    timings[position] = value
-                self._results.put((digest, block_id), value)
-        return timings
-
-    def _predict_missing(self, simulator: Any, blocks: Sequence[BasicBlock],
-                         compiled: Optional[Sequence[Any]] = None
-                         ) -> List[float]:
-        """Simulate uncached blocks, vectorized when the simulator can."""
-        batch = getattr(simulator, "predict_timing_batch", None)
-        if batch is not None:
-            self._megabatch_batches += 1
-            if compiled is not None and _accepts_compiled(batch):
-                values = batch(blocks, compiled=compiled)
-            else:
-                values = batch(blocks)
-            # ndarray -> Python floats in one C call rather than a scalar
-            # conversion per element (the cache stores plain floats).
-            return np.asarray(values, dtype=np.float64).tolist()
-        return [float(simulator.predict_timing(block)) for block in blocks]
+        return self.run_pairs([(table, blocks)])[0]
 
     def run(self, tables: Sequence[Any], blocks: Sequence[BasicBlock]) -> np.ndarray:
         """Timings of every block under every table.
@@ -192,75 +164,84 @@ class SimulationEngine:
 
     def run_pairs(self, pairs: Sequence[Tuple[Any, Sequence[BasicBlock]]]
                   ) -> List[np.ndarray]:
-        """Timings for heterogeneous ``(table, blocks)`` pairs.
+        """Timings for heterogeneous ``(table, blocks)`` pairs, in input order.
 
-        The workhorse behind :meth:`run` and the chunked dataset-collection
-        path, where every sampled table is evaluated on its own block draw.
-        Returns one timing array per pair, in input order; uncached pairs
-        fan out across the process pool when workers are configured.
+        The workhorse behind :meth:`run_one`, :meth:`run` and dataset
+        collection.  Every uncached (table, block) lane of every pair,
+        deduplicated by content, runs in one multi-table kernel call, or
+        across the process pool when workers are set and pairs are several.
         """
-        results: List[Optional[np.ndarray]] = [None] * len(pairs)
-        if not (self.num_workers > 1 and len(pairs) > 1):
-            for index, (table, blocks) in enumerate(pairs):
-                results[index] = self.run_one(table, blocks)
-            return results
-
-        pending: List[Any] = []  # (pair_index, digest, {id: positions}, blocks, table)
+        results: List[np.ndarray] = []
+        slots: Dict[str, int] = {}
+        tables: List[Any] = []
+        # (table digest, block id) -> the (pair, position) slots it fills.
+        missing: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
+        lane_blocks: List[BasicBlock] = []
+        lane_compiled: List[Any] = []
+        lane_tables: List[int] = []
         for index, (table, blocks) in enumerate(pairs):
             digest = self._table_digest(table)
             compiler = self._compiler_for(table.opcode_table)
             timings = np.empty(len(blocks), dtype=np.float64)
-            # Deduplicate misses by block content so each unique block is
-            # simulated once per table, as the serial path's cache ensures.
-            missing: Dict[str, List[int]] = {}
-            unique_blocks: List[BasicBlock] = []
             for position, block in enumerate(blocks):
-                block_id = compiler.compile(block).block_id
-                cached = self._results.get((digest, block_id))
-                if cached is None:
-                    if block_id not in missing:
-                        unique_blocks.append(block)
-                    missing.setdefault(block_id, []).append(position)
-                else:
+                compiled_block = compiler.compile(block)
+                key = (digest, compiled_block.block_id)
+                cached = self._results.get(key)
+                if cached is not None:
                     timings[position] = cached
-            results[index] = timings
-            if missing:
-                pending.append((index, digest, missing, unique_blocks, table))
-        if not pending:
+                    continue
+                targets = missing.get(key)
+                if targets is None:
+                    if slots.setdefault(digest, len(slots)) == len(tables):
+                        tables.append(table)
+                    targets = missing[key] = []
+                    lane_blocks.append(block)
+                    lane_compiled.append(compiled_block)
+                    lane_tables.append(slots[digest])
+                targets.append((index, position))
+            results.append(timings)
+        if not missing:
             return results
+        table_index = np.asarray(lane_tables, dtype=np.int64)
+        if self.num_workers > 1 and len(pairs) > 1:
+            values = self._run_pool(tables, lane_blocks, table_index)
+        else:
+            simulators = [
+                self._build_simulator(table, self._compiler_for(table.opcode_table))
+                for table in tables]
+            values, batched = _simulate_lanes(simulators, lane_blocks,
+                                              table_index, lane_compiled)
+            self._megabatch_batches += batched
+        self._executed += len(values)
+        for (key, targets), value in zip(missing.items(), values):
+            for index, position in targets:
+                results[index][position] = value
+            self._results.put(key, value)
+        return results
 
+    def _run_pool(self, tables: Sequence[Any], blocks: Sequence[BasicBlock],
+                  table_index: np.ndarray) -> List[float]:
+        """Fan the lanes out across a process pool, a few contiguous segments
+        per worker; ``pool.map`` keeps segment order, so reassembly is
+        deterministic."""
         self._parallel_batches += 1
-        # Fan-out granularity: one monolithic task per table would leave
-        # most workers idle whenever tables are fewer than workers (a single
-        # megabatched table is the common evaluate/sweep shape), so each
-        # table's missing blocks are chunked into a few tasks per worker.
-        # ``pool.map`` preserves task order, so reassembly is deterministic.
-        total_missing = sum(len(entry[3]) for entry in pending)
-        target_tasks = max(self.num_workers * 2, len(pending))
-        chunk = max(1, -(-total_missing // target_tasks))
+        chunk = max(1, -(-len(blocks) // (self.num_workers * 2)))
         tasks: List[Any] = []
-        segments: List[Any] = []  # (pair_index, digest, missing, ids) per task
-        for index, digest, missing, unique_blocks, table in pending:
-            ids = list(missing.keys())
-            for start in range(0, len(ids), chunk):
-                tasks.append((self._factory, table,
-                              unique_blocks[start:start + chunk]))
-                segments.append((index, digest, missing,
-                                 ids[start:start + chunk]))
-        self._megabatch_batches += len(tasks)
+        for start in range(0, len(blocks), chunk):
+            used, local = np.unique(table_index[start:start + chunk],
+                                    return_inverse=True)
+            tasks.append((self._factory, [tables[int(slot)] for slot in used],
+                          blocks[start:start + chunk], local))
         start_methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in start_methods else start_methods[0])
-        processes = min(self.num_workers, len(tasks))
-        with context.Pool(processes=processes) as pool:
-            computed = pool.map(_simulate_blocks_task, tasks)
-        for (index, digest, missing, ids), values in zip(segments, computed):
-            self._executed += len(values)
-            for block_id, value in zip(ids, values):
-                for position in missing[block_id]:
-                    results[index][position] = value
-                self._results.put((digest, block_id), value)
-        return results
+        with context.Pool(processes=min(self.num_workers, len(tasks))) as pool:
+            computed = pool.map(_simulate_lanes_task, tasks)
+        values: List[float] = []
+        for segment, batched in computed:
+            values.extend(segment)
+            self._megabatch_batches += batched
+        return values
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,7 +252,8 @@ class SimulationEngine:
 
         ``executed`` counts simulations actually run; ``result_misses``
         counts cache lookups that failed, which can exceed ``executed`` when
-        the parallel path deduplicates repeated blocks within one batch.
+        a request repeats a (table, block) pair.  ``megabatch_batches``
+        counts the tables of each execution that a batch kernel served.
         """
         return {
             "result_hits": self._results.hits,

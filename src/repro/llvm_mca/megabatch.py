@@ -8,6 +8,12 @@ block, with the per-block scalar state (dispatch bandwidth, register
 scoreboard, port reservations, reorder-buffer occupancy) held in
 ``(B,)``-shaped int64 arrays.
 
+Every lane carries its own parameter table, so one call can simulate a whole
+collection round of sampled tables: kernel rows are built for each
+(table, opcode) pair the call's lanes run, each lane gathers its own, and
+DispatchWidth and reorder-buffer size are per-lane ``(B,)`` arrays.  A
+single table is the ``T = 1`` case.
+
 Equivalence with the scalar kernel is exact, not approximate: every quantity
 is integer cycle arithmetic, each vectorized statement mirrors one statement
 of the scalar loop, and the final per-iteration division happens in float64
@@ -20,24 +26,18 @@ schedule construction are engineered to stay minimal:
 
 * everything derivable from the static schedule — per-step micro-op counts,
   operand indices, port-slot lists, stall thresholds — is materialized once
-  up front, **step-major and lane-minor** (``(H, B)`` / ``(H, S, B)``), so
-  each step slices contiguous rows and every 2D reduction runs over the
-  fast axis;
-* a lane's schedule repeats with period = its block length, so lanes are
-  grouped into runs of identical (length, warmup, measure) — the kernel
-  permutes lanes so equal keys are adjacent — and each run's schedule is
-  gathered once at pattern size ``(L, ..., nc)`` and then *tiled* down the
-  horizon at memcpy speed instead of fancy-gathered element by element;
+  up front by :func:`repro.engine.megabatch.lane_schedule`, **step-major
+  and lane-minor** (``(H, B)`` / ``(H, S, B)``), so each step slices
+  contiguous rows and every 2D reduction runs over the fast axis;
+* lanes are permuted into runs of identical (length, warmup, measure), so
+  each run's schedule is gathered once at pattern size and *tiled* down the
+  horizon at memcpy speed, and every lane of a run ends at the same step:
+  steps past a run's end are constant pad rows (zero micro-ops, dummy
+  ports, sentinel operand reads, sink writes), so finished lanes step on
+  garbage confined to their own state, snapshotted at their last active
+  step, with no per-element activity masking;
 * the port dimension is compressed from ``NUM_PORTS`` to the maximum
-  number of ports any opcode actually uses: each instruction carries a
-  short list of (scaled port index, busy cycles) slots, padded with a
-  dummy port row and hugely negative cycles so padding loses every max and
-  scatters only into the dummy row of the port state;
-* within a run every lane finishes at the same step, so there is no
-  per-element activity masking at all: steps past a run's end are filled
-  with constant pad rows (zero micro-ops, dummy ports, sentinel operand
-  reads, sink writes), and the finished lanes step on garbage confined to
-  their own state, snapshotted at their last active step;
+  number of ports any opcode actually uses, padded with a dummy port row;
 * the reorder buffer exploits that retire cycles are non-decreasing per
   lane: entry ``t`` of lane ``b`` retires at ``rob_retire[t, b]``, so
   occupancy at any head position is a difference of prefix sums of the
@@ -51,19 +51,15 @@ All scratch arrays are preallocated, so steps allocate nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Sequence
 
 import numpy as np
 
-from repro.engine.megabatch import PackedCorpus
+from repro.engine.megabatch import (NEVER_READY, PackedCorpus, lane_schedule,
+                                    port_slot_tables, table_opcodes)
 from repro.llvm_mca.params import (MCAParameterTable, NUM_PORTS,
                                    NUM_READ_ADVANCE_SLOTS)
 from repro.llvm_mca.simulator import TIMING_ITERATIONS
-
-#: Ready cycle of the per-lane sentinel register slot that invalid operand
-#: reads are redirected to; low enough that it never wins an operand max,
-#: high enough that subtracting any ReadAdvance cannot underflow int64.
-_NEVER_READY = np.int64(-(2 ** 40))
 
 
 def _first_unretired(retire_column: np.ndarray, lo: int, hi: int,
@@ -83,56 +79,44 @@ def _first_unretired(retire_column: np.ndarray, lo: int, hi: int,
     return lo
 
 
-def _port_slot_tables(port_map: np.ndarray) -> tuple:
-    """Compress an ``(O, P)`` port map into per-opcode used-port slots.
-
-    Returns ``(port_id, busy_cycles)``, each ``(O, U)`` where ``U`` is the
-    maximum number of ports any opcode uses (at least 1): slot ``u`` of
-    opcode ``o`` holds the index of its ``u``-th used port and that port's
-    busy cycles.  Unused slots point at the dummy port ``NUM_PORTS`` with
-    hugely negative cycles, so they lose every max and scatter only into
-    the dummy row of the port state.
-    """
-    port_map = np.asarray(port_map, dtype=np.int64)
-    used = port_map > 0
-    max_used = max(int(used.sum(axis=1).max(initial=0)), 1)
-    # Stable argsort of (not used) floats used ports to the front in
-    # ascending port order, matching the scalar kernel's iteration order
-    # (order does not affect results, but determinism is free).
-    front = np.argsort(~used, axis=1, kind="stable")[:, :max_used]
-    cycles = np.take_along_axis(port_map, front, axis=1)
-    port_id = np.where(cycles > 0, front, NUM_PORTS)
-    busy = np.where(cycles > 0, cycles, _NEVER_READY)
-    return port_id, busy
+def _opcode_rows(tables: Sequence[MCAParameterTable],
+                 opcodes: Sequence[np.ndarray]) -> dict:
+    """Per-(table, opcode) kernel rows for ``opcodes[t]`` of each table."""
+    parts = []
+    for table, ops in zip(tables, opcodes):
+        width = int(table.dispatch_width)
+        uops = np.maximum(table.num_micro_ops[ops], 1)
+        needed = np.minimum(uops, width)
+        port_map = table.port_map[ops]
+        parts.append((needed, width - needed,
+                      np.where(uops > width, (uops - 1) // width, 0),
+                      np.minimum(uops, int(table.reorder_buffer_size)),
+                      np.maximum(port_map.max(axis=1), 1),
+                      table.write_latency[ops], port_map,
+                      table.read_advance_cycles[ops]))
+    names = ("needed", "dispatch_thresh", "extra", "rob", "span", "latency",
+             "port_map", "read_advance")
+    return {name: np.concatenate(column)
+            for name, column in zip(names, zip(*parts))}
 
 
-def _lane_runs(lengths: np.ndarray, warmup: np.ndarray,
-               measure: np.ndarray) -> List[tuple]:
-    """Split lanes (sorted by key) into ``(c0, c1)`` runs of equal keys."""
-    change = np.nonzero((np.diff(lengths) != 0) | (np.diff(warmup) != 0)
-                        | (np.diff(measure) != 0))[0] + 1
-    bounds = [0, *change.tolist(), int(lengths.shape[0])]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _tile_rows(pattern: np.ndarray, repeats: int) -> np.ndarray:
-    """Repeat ``pattern`` ``repeats`` times along axis 0 (memcpy speed)."""
-    return np.tile(pattern, (repeats,) + (1,) * (pattern.ndim - 1))
-
-
-def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
+def simulate_packed_mca(tables: Sequence[MCAParameterTable],
+                        corpus: PackedCorpus, table_index: np.ndarray,
                         warmup: np.ndarray, measure: np.ndarray) -> np.ndarray:
-    """Steady-state cycles/iteration of every corpus block under ``table``.
+    """Steady-state cycles/iteration of every corpus block under its table.
 
     Args:
-        table: The parameter table driving the simulation.
+        tables: The parameter tables driving the simulation; a single table
+            is ``[table]`` with every lane at index 0.
         corpus: Packed blocks (see :func:`repro.engine.megabatch.pack_corpus`).
+        table_index: ``(B,)`` index into ``tables`` of each block's table.
         warmup: ``(B,)`` warmup iterations per block (>= 0).
         measure: ``(B,)`` measurement iterations per block (>= 1).
 
     Returns:
         ``(B,)`` float64 timings, bit-identical to running
-        :func:`~repro.llvm_mca.simulator.simulate_bound_mca` per block.
+        :func:`~repro.llvm_mca.simulator.simulate_bound_mca` per block under
+        ``tables[table_index[b]]``.
     """
     num_blocks = corpus.num_blocks
     if num_blocks == 0:
@@ -141,167 +125,66 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
     measure = np.asarray(measure, dtype=np.int64)
     if np.any(measure < 1):
         raise ValueError("megabatch kernel requires measure >= 1 per block")
-
-    width = np.int64(int(table.dispatch_width))
-    capacity = int(table.reorder_buffer_size)
-
-    # Lanes are permuted so equal (length, warmup, measure) keys become
-    # adjacent runs: within a run every schedule is periodic with the same
-    # period and every lane ends at the same step, so schedules are built
-    # once per run at pattern size and tiled down the horizon.  All
-    # simulation state lives in permuted lane space; timings scatter back
-    # through ``perm`` at the end.
-    perm = np.lexsort((measure, warmup, corpus.lengths))
-    lengths = np.maximum(corpus.lengths[perm], 1)
-    warmup = warmup[perm]
-    measure = measure[perm]
-    opcode_rows = corpus.opcode_indices[perm]
-    source_rows = corpus.source_ids[perm]
-    destination_rows = corpus.destination_ids[perm]
-
-    total_steps = (warmup + measure) * lengths
-    warmup_steps = warmup * lengths
-    horizon = int(total_steps.max(initial=1))
-    rows = np.arange(num_blocks)
-    runs = _lane_runs(lengths, warmup, measure)
-
-    # Per-opcode tables, gathered per run at pattern size below.
-    uops_table = np.maximum(table.num_micro_ops, 1)
-    needed_table = np.minimum(uops_table, width)
-    extra_table = np.where(uops_table > width, (uops_table - 1) // width, 0)
-    rob_table = np.minimum(uops_table, capacity)
-    span_table = np.maximum(table.port_map.max(axis=1), 1)
-    latency_table = np.asarray(table.write_latency, dtype=np.int64)
-    port_id_table, port_busy_table = _port_slot_tables(table.port_map)
-    num_slots = port_id_table.shape[1]
-    scaled_port_table = port_id_table.T * num_blocks              # (U, O)
-    port_busy_table = port_busy_table.T                           # (U, O)
-    num_sources = source_rows.shape[2]
+    # Only the tables, and the opcodes of each, that some lane runs.
+    used, lane_table = np.unique(np.asarray(table_index, dtype=np.int64),
+                                 return_inverse=True)
+    used_tables = [tables[int(position)] for position in used]
+    opcodes, opcode_rows = table_opcodes(corpus, lane_table, len(used_tables))
+    rows = _opcode_rows(used_tables, opcodes)
+    widths = np.array([int(table.dispatch_width) for table in used_tables])
+    capacities = np.array([int(table.reorder_buffer_size)
+                           for table in used_tables])
+    port_ids, port_busy = port_slot_tables(rows["port_map"], NUM_PORTS)
+    num_sources = corpus.source_ids.shape[2]
     slot_clamp = np.minimum(np.arange(num_sources), NUM_READ_ADVANCE_SLOTS - 1)
-    advance_table = np.ascontiguousarray(
-        table.read_advance_cycles[:, slot_clamp].T)               # (S, O)
-    num_destinations = destination_rows.shape[2]
-
-    # Register file: per-lane block of ``R`` real slots plus a sentinel slot
-    # (invalid reads, hugely negative) and a sink slot (invalid writes).
-    registers = max(int(corpus.num_registers.max(initial=0)), 1) + 2
-    lane_base = rows * registers
-    sentinel = lane_base + registers - 2
-    sink = lane_base + registers - 1
-
-    # Step-major schedules, filled run by run: ``x[step]`` is one
-    # contiguous row per step.
-    needed_sched = np.empty((horizon, num_blocks), dtype=np.int64)
-    dispatch_thresh = np.empty((horizon, num_blocks), dtype=np.int64)
-    extra_sched = np.empty((horizon, num_blocks), dtype=np.int64)
-    rob_request = np.empty((horizon, num_blocks), dtype=np.int64)
-    write_latency = np.empty((horizon, num_blocks), dtype=np.int64)
-    resource_span = np.empty((horizon, num_blocks), dtype=np.int64)
-    advance = np.empty((horizon, num_sources, num_blocks), dtype=np.int64)
-    flat_sources = np.empty((horizon, num_sources, num_blocks), dtype=np.int64)
-    flat_destinations = np.empty((horizon, num_destinations, num_blocks),
-                                 dtype=np.int64)
-    port_index = np.empty((horizon, num_slots, num_blocks), dtype=np.int64)
-    port_busy = np.empty((horizon, num_slots, num_blocks), dtype=np.int64)
-    lane_total_uops = np.empty(num_blocks, dtype=np.int64)
-    have_extra = False
-    warm_parts: Dict[int, List[np.ndarray]] = {}
-    final_parts: Dict[int, List[np.ndarray]] = {}
-
-    for c0, c1 in runs:
-        length = int(lengths[c0])
-        iterations = int(warmup[c0] + measure[c0])
-        run_end = iterations * length
-        cols = rows[c0:c1]
-        # One period of the run's schedule: (L, nc) per-opcode gathers.
-        opcode_pat = np.ascontiguousarray(opcode_rows[c0:c1, :length].T)
-        needed_pat = needed_table[opcode_pat]
-        extra_pat = extra_table[opcode_pat]
-        rob_pat = rob_table[opcode_pat]
-        needed_sched[:run_end, c0:c1] = _tile_rows(needed_pat, iterations)
-        dispatch_thresh[:run_end, c0:c1] = _tile_rows(width - needed_pat,
-                                                      iterations)
-        extra_sched[:run_end, c0:c1] = _tile_rows(extra_pat, iterations)
-        rob_request[:run_end, c0:c1] = _tile_rows(rob_pat, iterations)
-        write_latency[:run_end, c0:c1] = _tile_rows(latency_table[opcode_pat],
-                                                    iterations)
-        resource_span[:run_end, c0:c1] = _tile_rows(span_table[opcode_pat],
-                                                    iterations)
-        have_extra = have_extra or bool(extra_pat.any())
-        lane_total_uops[c0:c1] = rob_pat.sum(axis=0) * iterations
-
-        advance_pat = advance_table[:, opcode_pat].transpose(1, 0, 2)
-        advance[:run_end, :, c0:c1] = _tile_rows(advance_pat, iterations)
-        port_index_pat = (scaled_port_table[:, opcode_pat].transpose(1, 0, 2)
-                          + cols[None, None, :])
-        port_index[:run_end, :, c0:c1] = _tile_rows(port_index_pat, iterations)
-        port_busy_pat = port_busy_table[:, opcode_pat].transpose(1, 0, 2)
-        port_busy[:run_end, :, c0:c1] = _tile_rows(port_busy_pat, iterations)
-
-        # Operand ids: -1 padding redirects to the sentinel / sink slots on
-        # the pattern, before tiling.
-        source_pat = np.where(
-            source_rows[c0:c1, :length] >= 0,
-            source_rows[c0:c1, :length] + lane_base[c0:c1, None, None],
-            sentinel[c0:c1, None, None]).transpose(1, 2, 0)
-        flat_sources[:run_end, :, c0:c1] = _tile_rows(source_pat, iterations)
-        destination_pat = np.where(
-            destination_rows[c0:c1, :length] >= 0,
-            destination_rows[c0:c1, :length] + lane_base[c0:c1, None, None],
-            sink[c0:c1, None, None]).transpose(1, 2, 0)
-        flat_destinations[:run_end, :, c0:c1] = _tile_rows(destination_pat,
-                                                           iterations)
-
-        # Pad rows past the run's end: zero micro-ops, dummy ports, sentinel
-        # reads, sink writes — the finished lanes' bookkeeping freezes and
-        # their garbage stays confined to their own state, which was
-        # snapshotted at their last active step.
-        if run_end < horizon:
-            needed_sched[run_end:, c0:c1] = 0
-            dispatch_thresh[run_end:, c0:c1] = width
-            extra_sched[run_end:, c0:c1] = 0
-            rob_request[run_end:, c0:c1] = 0
-            write_latency[run_end:, c0:c1] = 0
-            resource_span[run_end:, c0:c1] = 1
-            advance[run_end:, :, c0:c1] = 0
-            port_index[run_end:, :, c0:c1] = (NUM_PORTS * num_blocks
-                                              + cols)[None, None, :]
-            port_busy[run_end:, :, c0:c1] = _NEVER_READY
-            flat_sources[run_end:, :, c0:c1] = sentinel[c0:c1][None, None, :]
-            flat_destinations[run_end:, :, c0:c1] = sink[c0:c1][None, None, :]
-
-        warm_end = int(warmup_steps[c0])
-        if warm_end > 0:
-            warm_parts.setdefault(warm_end - 1, []).append(cols)
-        final_parts.setdefault(run_end - 1, []).append(cols)
-
-    warm_lanes = {step: np.concatenate(parts)
-                  for step, parts in warm_parts.items()}
-    final_lanes = {step: np.concatenate(parts)
-                   for step, parts in final_parts.items()}
+    schedule = lane_schedule(corpus, lane_table, warmup, measure,
+                             opcode_rows, port_ids, NUM_PORTS, {
+        "needed": (rows["needed"], 0),
+        # Rollover iff dispatched + needed > width.  A finished lane's
+        # threshold is its width, so zero-micro-op pad steps never roll.
+        "dispatch_thresh": (rows["dispatch_thresh"], widths),
+        "extra": (rows["extra"], 0),
+        "rob": (rows["rob"], 0),
+        "latency": (rows["latency"], 0),
+        "span": (rows["span"], 1),
+        "advance": (np.ascontiguousarray(
+            rows["read_advance"][:, slot_clamp].T), 0),
+        "port_busy": (port_busy.T, NEVER_READY)})
+    horizon = schedule.horizon
+    lane_capacity = capacities[schedule.lane_table]
+    (needed_sched, dispatch_thresh, extra_sched, rob_request, write_latency,
+     resource_span, advance, port_busy) = schedule.columns.values()
+    port_index = schedule.port_index
+    flat_sources = schedule.flat_sources
+    flat_destinations = schedule.flat_destinations
+    warm_lanes = schedule.warm_lanes
+    final_lanes = schedule.final_lanes
+    num_slots = port_index.shape[1]
+    have_extra = bool(extra_sched.any())
 
     # Reorder buffer: entry ``t`` of each lane is allocated at step ``t``
     # (finished lanes allocate zero-micro-op entries), so occupancy between
     # head and tail is a prefix-sum difference of the static request counts.
     # A lane is apparently full iff
-    #   cum[step] - head_cum + request > capacity,
+    #   cum[step] - head_cum + request > capacity[lane],
     # rewritten as ``head_cum < rob_thresh[step]`` with a static threshold
     # (hugely negative past a run's end so finished lanes never re-trigger).
     # Chunks that cannot fill the buffer at all skip the stage entirely.
-    track_rob = bool((lane_total_uops > capacity).any())
+    track_rob = bool((rob_request.sum(axis=0) > lane_capacity).any())
     if track_rob:
         rob_cumulative = np.zeros((horizon + 1, num_blocks), dtype=np.int64)
         np.cumsum(rob_request, axis=0, out=rob_cumulative[1:])
         rob_thresh = rob_cumulative[:horizon] + rob_request
-        rob_thresh -= capacity
-        for c0, c1 in runs:
-            run_end = int(total_steps[c0])
+        rob_thresh -= lane_capacity
+        for c0, c1 in schedule.runs:
+            run_end = int(schedule.total_steps[c0])
             if run_end < horizon:
-                rob_thresh[run_end:, c0:c1] = _NEVER_READY
+                rob_thresh[run_end:, c0:c1] = NEVER_READY
         rob_retire = np.zeros((horizon, num_blocks), dtype=np.int64)
 
-    register_ready = np.zeros(num_blocks * registers, dtype=np.int64)
-    register_ready[sentinel] = _NEVER_READY
+    register_ready = np.zeros(num_blocks * schedule.num_registers,
+                              dtype=np.int64)
+    register_ready[schedule.sentinel] = NEVER_READY
     port_free = np.zeros((NUM_PORTS + 1) * num_blocks, dtype=np.int64)
     dispatch_cycle = np.zeros(num_blocks, dtype=np.int64)
     dispatched = np.zeros(num_blocks, dtype=np.int64)
@@ -347,6 +230,7 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
                     head = int(rob_head[lane])
                     cycle = int(dispatch_cycle[lane])
                     request = int(rob_request[step, lane])
+                    capacity = int(lane_capacity[lane])
                     # Drain entries retired by the current cycle, then walk
                     # the clock forward entry by entry until the request
                     # fits — exactly ``ReorderBuffer.earliest_cycle_with_space``.
@@ -415,11 +299,11 @@ def simulate_packed_mca(table: MCAParameterTable, corpus: PackedCorpus,
         if lanes is not None:
             final_end[lanes] = previous_retire[lanes]
 
-    cycles_per_iteration = (final_end - warmup_end) / measure
+    cycles_per_iteration = (final_end - warmup_end) / schedule.measure
     np.maximum(cycles_per_iteration, 1.0 / TIMING_ITERATIONS,
                out=cycles_per_iteration)
     timings = np.empty(num_blocks, dtype=np.float64)
-    timings[perm] = cycles_per_iteration
+    timings[schedule.perm] = cycles_per_iteration
     return timings
 
 

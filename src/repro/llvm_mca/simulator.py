@@ -272,34 +272,47 @@ class MCASimulator:
         :mod:`repro.llvm_mca.megabatch`), but every block advances one
         dynamic instruction per vectorized step instead of one per Python
         loop iteration.  Callers that already hold the blocks' compiled
-        forms (the engine does) pass them via ``compiled`` to skip the
-        compile-cache lookups.
+        forms pass them via ``compiled`` to skip the compile-cache lookups.
+        """
+        blocks = list(blocks)
+        return self.predict_timing_lanes(
+            [self], blocks, np.zeros(len(blocks), dtype=np.int64),
+            chunk_size=chunk_size, compiled=compiled)
+
+    @staticmethod
+    def predict_timing_lanes(simulators: Sequence["MCASimulator"],
+                             blocks: Sequence[BasicBlock],
+                             table_index: np.ndarray,
+                             chunk_size: Optional[int] = None,
+                             compiled: Optional[Sequence] = None) -> np.ndarray:
+        """Timing of ``blocks[k]`` under ``simulators[table_index[k]]``.
+
+        The multi-table form of :meth:`predict_timing_batch`: lanes of every
+        simulator share the megabatch kernel's lockstep chunks, so many
+        tables with a few blocks each cost about one wide kernel call.
         """
         from functools import partial
 
         from repro.engine.megabatch import (DEFAULT_MEGABATCH_CHUNK,
-                                            megabatch_timings,
-                                            shrink_iteration_counts)
+                                            lane_windows, megabatch_timings)
         from repro.llvm_mca.megabatch import simulate_packed_mca
 
-        if compiled is None:
-            compiled = [self.compiler.compile(block) for block in blocks]
-        lengths = np.fromiter((block.length for block in compiled),
-                              dtype=np.int64, count=len(compiled))
-        warmup, measure = shrink_iteration_counts(
-            lengths, self.warmup_iterations, self.measure_iterations,
-            self.max_dynamic_instructions)
-        width = int(self.parameters.dispatch_width)
-        capacity = int(self.parameters.reorder_buffer_size)
+        table_index = np.asarray(table_index, dtype=np.int64)
+        compiled, warmup, measure = lane_windows(simulators, blocks,
+                                                 table_index, compiled)
+        tables = [simulator.parameters for simulator in simulators]
 
-        def scalar_kernel(block, block_warmup, block_measure):
-            bound = bind_mca_block(self.parameters, block)
-            return simulate_bound_mca(bound, width, capacity, block_warmup,
-                                      block_measure).cycles_per_iteration
+        def scalar_kernel(block, position, block_warmup, block_measure):
+            table = tables[position]
+            bound = bind_mca_block(table, block)
+            return simulate_bound_mca(
+                bound, int(table.dispatch_width),
+                int(table.reorder_buffer_size), block_warmup,
+                block_measure).cycles_per_iteration
 
         return megabatch_timings(
-            compiled, warmup, measure,
-            partial(simulate_packed_mca, self.parameters),
+            compiled, table_index, warmup, measure,
+            partial(simulate_packed_mca, tables),
             chunk_size=chunk_size or DEFAULT_MEGABATCH_CHUNK,
             scalar_kernel=scalar_kernel)
 

@@ -4,7 +4,10 @@ The lockstep counterpart of
 :func:`repro.llvm_sim.simulator.simulate_bound_llvm_sim`: every block of a
 :class:`~repro.engine.megabatch.PackedCorpus` advances one dynamic
 instruction per step, with the frontend delivery counter, register
-scoreboard, and per-port next-free cycles held in int64 arrays.
+scoreboard, and per-port next-free cycles held in int64 arrays.  Every lane
+carries its own parameter table (kernel rows are built for each
+(table, opcode) pair the call's lanes run), so a single table is the
+``T = 1`` case of one signature.
 
 Two scalar inner loops collapse into closed forms:
 
@@ -18,20 +21,11 @@ Two scalar inner loops collapse into closed forms:
   The bookkeeping micro-op of a portless instruction contributes
   ``start == ready``, restored by a final ``max(last_start, ready)``.
 
-The loop follows the same engineering rules as the llvm-mca kernel (see
-:mod:`repro.llvm_mca.megabatch`): static schedules are precomputed
-step-major / lane-minor so each step slices contiguous rows and reductions
-run over the fast axis; lanes are permuted so runs of equal
-(length, warmup, measure) keys are adjacent, each run's periodic schedule is
-gathered once at pattern size and tiled down the horizon at memcpy speed;
-the port axis is compressed to the few slots each opcode actually uses
-(padded slots carry the dummy port and hugely negative counts, losing every
-max and scattering only into the dummy row); finished lanes step on garbage
-state instead of being masked — constant pad rows past a run's end freeze
-their frontend and ports, operand reads redirect to a per-lane sentinel
-slot, register writes stay confined to the lane's own scoreboard — and
-iteration boundaries are snapshotted at each lane's last active step, before
-garbage can reach them.
+The static schedule — lane permutation into runs, per-lane gathers of each
+lane's own table rows, compressed port slots, sentinel/sink operand slots
+and pad rows past each lane's end — comes from
+:func:`repro.engine.megabatch.lane_schedule`, shared with the llvm-mca
+kernel (see :mod:`repro.llvm_mca.megabatch` for the engineering rules).
 
 All arithmetic is int64 cycle math over the same integers the scalar kernel
 produces, so timings are bit-identical (pinned by the property tests in
@@ -40,61 +34,27 @@ produces, so timings are bit-identical (pinned by the property tests in
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Sequence
 
 import numpy as np
 
-from repro.engine.megabatch import PackedCorpus
+from repro.engine.megabatch import (NEVER_READY, PackedCorpus, lane_schedule,
+                                    port_slot_tables, table_opcodes)
 from repro.llvm_sim.params import LLVMSimParameterTable, NUM_PORTS
 
-#: Ready cycle of the per-lane sentinel register slot; never wins an
-#: operand max against a non-negative delivery cycle.
-_NEVER_READY = np.int64(-(2 ** 40))
 
-
-def _port_slot_tables(port_uops: np.ndarray) -> tuple:
-    """Compress the ``(O, P)`` micro-op counts into per-opcode port slots.
-
-    Returns ``(port_id, count_minus_one)``, each ``(O, U)`` with ``U`` the
-    maximum number of ports any opcode uses (at least 1): slot ``u`` of
-    opcode ``o`` names its ``u``-th used port and carries ``k - 1`` for its
-    ``k`` micro-ops there.  Unused slots point at the dummy port
-    ``NUM_PORTS`` with hugely negative counts, so they lose every max and
-    scatter only into the dummy row of the port state.
-    """
-    port_uops = np.asarray(port_uops, dtype=np.int64)
-    used = port_uops > 0
-    max_used = max(int(used.sum(axis=1).max(initial=0)), 1)
-    front = np.argsort(~used, axis=1, kind="stable")[:, :max_used]
-    counts = np.take_along_axis(port_uops, front, axis=1)
-    port_id = np.where(counts > 0, front, NUM_PORTS)
-    count_minus_one = np.where(counts > 0, counts - 1, _NEVER_READY)
-    return port_id, count_minus_one
-
-
-def _lane_runs(lengths: np.ndarray, warmup: np.ndarray,
-               measure: np.ndarray) -> List[tuple]:
-    """Split lanes (sorted by key) into ``(c0, c1)`` runs of equal keys."""
-    change = np.nonzero((np.diff(lengths) != 0) | (np.diff(warmup) != 0)
-                        | (np.diff(measure) != 0))[0] + 1
-    bounds = [0, *change.tolist(), int(lengths.shape[0])]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _tile_rows(pattern: np.ndarray, repeats: int) -> np.ndarray:
-    """Repeat ``pattern`` ``repeats`` times along axis 0 (memcpy speed)."""
-    return np.tile(pattern, (repeats,) + (1,) * (pattern.ndim - 1))
-
-
-def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
+def simulate_packed_llvm_sim(tables: Sequence[LLVMSimParameterTable],
+                             corpus: PackedCorpus, table_index: np.ndarray,
                              uops_per_cycle: int, decode_latency: int,
                              warmup: np.ndarray, measure: np.ndarray
                              ) -> np.ndarray:
-    """Steady-state cycles/iteration of every corpus block under ``table``.
+    """Steady-state cycles/iteration of every corpus block under its table.
 
     Args:
-        table: The llvm_sim parameter table.
+        tables: The llvm_sim parameter tables; a single table is ``[table]``
+            with every lane at index 0.
         corpus: Packed blocks (see :func:`repro.engine.megabatch.pack_corpus`).
+        table_index: ``(B,)`` index into ``tables`` of each block's table.
         uops_per_cycle: Frontend delivery throughput.
         decode_latency: Fixed frontend pipeline depth in cycles.
         warmup: ``(B,)`` warmup iterations per block (>= 0).
@@ -102,7 +62,8 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
 
     Returns:
         ``(B,)`` float64 timings, bit-identical to running
-        :func:`~repro.llvm_sim.simulator.simulate_bound_llvm_sim` per block.
+        :func:`~repro.llvm_sim.simulator.simulate_bound_llvm_sim` per block
+        under ``tables[table_index[b]]``.
     """
     num_blocks = corpus.num_blocks
     if num_blocks == 0:
@@ -115,120 +76,42 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
         raise ValueError("frontend must deliver at least one micro-op per cycle")
     uops_per_cycle = np.int64(uops_per_cycle)
     decode_latency = np.int64(decode_latency)
-
-    # Lanes permuted so equal (length, warmup, measure) keys form adjacent
-    # runs; schedules are built once per run and tiled (see module docs).
-    perm = np.lexsort((measure, warmup, corpus.lengths))
-    lengths = np.maximum(corpus.lengths[perm], 1)
-    warmup = warmup[perm]
-    measure = measure[perm]
-    opcode_rows = corpus.opcode_indices[perm]
-    source_rows = corpus.source_ids[perm]
-    destination_rows = corpus.destination_ids[perm]
-
-    total_steps = (warmup + measure) * lengths
-    warmup_steps = warmup * lengths
-    horizon = int(total_steps.max(initial=1))
-    rows = np.arange(num_blocks)
-    runs = _lane_runs(lengths, warmup, measure)
-
-    # Per-opcode tables, gathered per run at pattern size below.  A zero
-    # PortMap row still decodes one bookkeeping micro-op.
-    port_counts = np.asarray(table.port_uops, dtype=np.int64)
+    # Rows only for the tables, and the opcodes of each, that some lane runs.
+    used, lane_table = np.unique(np.asarray(table_index, dtype=np.int64),
+                                 return_inverse=True)
+    used_tables = [tables[int(position)] for position in used]
+    opcodes, opcode_rows = table_opcodes(corpus, lane_table, len(used_tables))
+    port_counts = np.concatenate([table.port_uops[ops] for table, ops
+                                  in zip(used_tables, opcodes)])
+    # A zero PortMap row still decodes one bookkeeping micro-op.
     decoded_table = np.maximum(port_counts.sum(axis=1), 1)
-    latency_table = np.asarray(table.write_latency, dtype=np.int64)
-    # Retire lower-bounds completion by last_start + 1, so fold the clamp
-    # into the latency: completion = last_start + max(latency, 1).
-    retire_table = np.maximum(latency_table, 1)
-    port_id_table, count_table = _port_slot_tables(table.port_uops)
-    num_slots = port_id_table.shape[1]
-    scaled_port_table = port_id_table.T * num_blocks              # (U, O)
-    count_table = count_table.T                                   # (U, O)
-    num_sources = source_rows.shape[2]
-    num_destinations = destination_rows.shape[2]
+    latency_table = np.concatenate([table.write_latency[ops] for table, ops
+                                    in zip(used_tables, opcodes)])
+    port_ids, count_table = port_slot_tables(port_counts, NUM_PORTS, offset=-1)
+    # Pad steps deliver zero micro-ops (``uops_minus_one`` of -1 keeps the
+    # frontend frozen) and occupy no port.  Retire lower-bounds completion
+    # by last_start + 1, so the clamp folds into the latency: completion =
+    # last_start + max(latency, 1).
+    schedule = lane_schedule(corpus, lane_table, warmup, measure,
+                             opcode_rows, port_ids, NUM_PORTS, {
+        "decoded": (decoded_table, 0),
+        "uops_minus_one": (decoded_table - 1, -1),
+        "latency": (latency_table, 0),
+        "retire": (np.maximum(latency_table, 1), 1),
+        "count_minus_one": (count_table.T, NEVER_READY)})
+    (decoded_uops, uops_minus_one, write_latency, retire_latency,
+     count_minus_one) = schedule.columns.values()
+    port_index = schedule.port_index
+    flat_sources = schedule.flat_sources
+    flat_destinations = schedule.flat_destinations
+    warm_map = schedule.warm_lanes
+    final_map = schedule.final_lanes
+    num_slots = port_index.shape[1]
+    num_sources = flat_sources.shape[1]
 
-    # Register file: per-lane real slots plus a sentinel slot (invalid
-    # reads, hugely negative) and a sink slot (invalid writes).
-    registers = max(int(corpus.num_registers.max(initial=0)), 1) + 2
-    lane_base = rows * registers
-    sentinel = lane_base + registers - 2
-    sink = lane_base + registers - 1
-
-    # Step-major schedules, filled run by run.
-    decoded_uops = np.empty((horizon, num_blocks), dtype=np.int64)
-    uops_minus_one = np.empty((horizon, num_blocks), dtype=np.int64)
-    write_latency = np.empty((horizon, num_blocks), dtype=np.int64)
-    retire_latency = np.empty((horizon, num_blocks), dtype=np.int64)
-    port_index = np.empty((horizon, num_slots, num_blocks), dtype=np.int64)
-    count_minus_one = np.empty((horizon, num_slots, num_blocks),
-                               dtype=np.int64)
-    flat_sources = np.empty((horizon, num_sources, num_blocks), dtype=np.int64)
-    flat_destinations = np.empty((horizon, num_destinations, num_blocks),
-                                 dtype=np.int64)
-    warm_parts: Dict[int, List[np.ndarray]] = {}
-    final_parts: Dict[int, List[np.ndarray]] = {}
-
-    for c0, c1 in runs:
-        length = int(lengths[c0])
-        iterations = int(warmup[c0] + measure[c0])
-        run_end = iterations * length
-        cols = rows[c0:c1]
-        opcode_pat = np.ascontiguousarray(opcode_rows[c0:c1, :length].T)
-        decoded_pat = decoded_table[opcode_pat]
-        decoded_uops[:run_end, c0:c1] = _tile_rows(decoded_pat, iterations)
-        uops_minus_one[:run_end, c0:c1] = _tile_rows(decoded_pat - 1,
-                                                     iterations)
-        write_latency[:run_end, c0:c1] = _tile_rows(latency_table[opcode_pat],
-                                                    iterations)
-        retire_latency[:run_end, c0:c1] = _tile_rows(retire_table[opcode_pat],
-                                                     iterations)
-        port_index_pat = (scaled_port_table[:, opcode_pat].transpose(1, 0, 2)
-                          + cols[None, None, :])
-        port_index[:run_end, :, c0:c1] = _tile_rows(port_index_pat, iterations)
-        count_pat = count_table[:, opcode_pat].transpose(1, 0, 2)
-        count_minus_one[:run_end, :, c0:c1] = _tile_rows(count_pat, iterations)
-
-        # Operand ids: -1 padding redirects to the sentinel / sink slots on
-        # the pattern, before tiling.
-        source_pat = np.where(
-            source_rows[c0:c1, :length] >= 0,
-            source_rows[c0:c1, :length] + lane_base[c0:c1, None, None],
-            sentinel[c0:c1, None, None]).transpose(1, 2, 0)
-        flat_sources[:run_end, :, c0:c1] = _tile_rows(source_pat, iterations)
-        destination_pat = np.where(
-            destination_rows[c0:c1, :length] >= 0,
-            destination_rows[c0:c1, :length] + lane_base[c0:c1, None, None],
-            sink[c0:c1, None, None]).transpose(1, 2, 0)
-        flat_destinations[:run_end, :, c0:c1] = _tile_rows(destination_pat,
-                                                           iterations)
-
-        # Pad rows past the run's end: zero micro-ops, dummy ports, sentinel
-        # reads, sink writes — finished lanes' bookkeeping freezes and their
-        # garbage stays confined to their own state, snapshotted at their
-        # last active step.
-        if run_end < horizon:
-            decoded_uops[run_end:, c0:c1] = 0
-            uops_minus_one[run_end:, c0:c1] = -1
-            write_latency[run_end:, c0:c1] = 0
-            retire_latency[run_end:, c0:c1] = 1
-            port_index[run_end:, :, c0:c1] = (NUM_PORTS * num_blocks
-                                              + cols)[None, None, :]
-            count_minus_one[run_end:, :, c0:c1] = _NEVER_READY
-            flat_sources[run_end:, :, c0:c1] = sentinel[c0:c1][None, None, :]
-            flat_destinations[run_end:, :, c0:c1] = sink[c0:c1][None, None, :]
-
-        warm_end = int(warmup_steps[c0])
-        if warm_end > 0:
-            warm_parts.setdefault(warm_end - 1, []).append(cols)
-        final_parts.setdefault(run_end - 1, []).append(cols)
-
-    warm_map = {step: np.concatenate(parts)
-                for step, parts in warm_parts.items()}
-    final_map = {step: np.concatenate(parts)
-                 for step, parts in final_parts.items()}
-
-    register_ready = np.zeros(num_blocks * registers, dtype=np.int64)
-    register_ready[sentinel] = _NEVER_READY
+    register_ready = np.zeros(num_blocks * schedule.num_registers,
+                              dtype=np.int64)
+    register_ready[schedule.sentinel] = NEVER_READY
     port_free = np.zeros((NUM_PORTS + 1) * num_blocks, dtype=np.int64)
     delivered = np.zeros(num_blocks, dtype=np.int64)
     previous_retire = np.zeros(num_blocks, dtype=np.int64)
@@ -246,7 +129,7 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
     maximum = np.maximum
     add = np.add
 
-    for step in range(horizon):
+    for step in range(schedule.horizon):
         # Frontend: the instruction waits for its last micro-op's delivery.
         add(delivered, uops_minus_one[step], out=lane_i64)
         np.floor_divide(lane_i64, uops_per_cycle, out=lane_i64)
@@ -288,10 +171,10 @@ def simulate_packed_llvm_sim(table: LLVMSimParameterTable, corpus: PackedCorpus,
         if lanes is not None:
             final_end[lanes] = previous_retire[lanes]
 
-    cycles_per_iteration = (final_end - warmup_end) / measure
+    cycles_per_iteration = (final_end - warmup_end) / schedule.measure
     np.maximum(cycles_per_iteration, 0.01, out=cycles_per_iteration)
     timings = np.empty(num_blocks, dtype=np.float64)
-    timings[perm] = cycles_per_iteration
+    timings[schedule.perm] = cycles_per_iteration
     return timings
 
 

@@ -145,42 +145,59 @@ class LLVMSimSimulator:
         """Predict timings for ``blocks`` through the megabatch kernel.
 
         Bit-identical to calling :meth:`predict_timing` per block (see
-        :mod:`repro.llvm_sim.megabatch`).  Degenerate iteration windows
+        :mod:`repro.llvm_sim.megabatch`).  Callers that already hold the
+        blocks' compiled forms pass them via ``compiled`` to skip the
+        compile-cache lookups.
+        """
+        blocks = list(blocks)
+        return self.predict_timing_lanes(
+            [self], blocks, np.zeros(len(blocks), dtype=np.int64),
+            chunk_size=chunk_size, compiled=compiled)
+
+    @staticmethod
+    def predict_timing_lanes(simulators: Sequence["LLVMSimSimulator"],
+                             blocks: Sequence[BasicBlock],
+                             table_index: np.ndarray,
+                             chunk_size: Optional[int] = None,
+                             compiled: Optional[Sequence] = None) -> np.ndarray:
+        """Timing of ``blocks[k]`` under ``simulators[table_index[k]]``.
+
+        The multi-table form of :meth:`predict_timing_batch`; the simulators
+        must share one frontend width.  Degenerate iteration windows
         (``measure_iterations < 1``) fall back to the scalar path, whose
-        averaging semantics the megabatch kernel does not model.  Callers
-        that already hold the blocks' compiled forms (the engine does) pass
-        them via ``compiled`` to skip the compile-cache lookups.
+        averaging semantics the megabatch kernel does not model.
         """
         from repro.engine.megabatch import (DEFAULT_MEGABATCH_CHUNK,
-                                            megabatch_timings,
-                                            shrink_iteration_counts)
+                                            lane_windows, megabatch_timings)
         from repro.llvm_sim.megabatch import simulate_packed_llvm_sim
 
-        blocks = list(blocks)
-        if self.measure_iterations < 1 or self.warmup_iterations < 0:
-            return np.array([self.predict_timing(block) for block in blocks],
+        table_index = np.asarray(table_index, dtype=np.int64)
+        if any(simulator.measure_iterations < 1
+               or simulator.warmup_iterations < 0 for simulator in simulators):
+            return np.array([simulators[int(position)].predict_timing(block)
+                             for block, position in zip(blocks, table_index)],
                             dtype=np.float64)
-        frontend = Frontend(uops_per_cycle=self.frontend_uops_per_cycle)
-        if compiled is None:
-            compiled = [self.compiler.compile(block) for block in blocks]
-        lengths = np.fromiter((block.length for block in compiled),
-                              dtype=np.int64, count=len(compiled))
-        warmup, measure = shrink_iteration_counts(
-            lengths, self.warmup_iterations, self.measure_iterations,
-            self.max_dynamic_instructions)
+        widths = {simulator.frontend_uops_per_cycle for simulator in simulators}
+        if len(widths) != 1:
+            raise ValueError("simulators in one lane batch must share their "
+                             f"frontend width, got {sorted(widths)}")
+        frontend = Frontend(uops_per_cycle=widths.pop())
+        compiled, warmup, measure = lane_windows(simulators, blocks,
+                                                 table_index, compiled)
+        tables = [simulator.parameters for simulator in simulators]
 
-        def kernel(corpus, chunk_warmup, chunk_measure):
+        def kernel(corpus, chunk_tables, chunk_warmup, chunk_measure):
             return simulate_packed_llvm_sim(
-                self.parameters, corpus, frontend.uops_per_cycle,
+                tables, corpus, chunk_tables, frontend.uops_per_cycle,
                 frontend.decode_latency, chunk_warmup, chunk_measure)
 
-        def scalar_kernel(block, block_warmup, block_measure):
-            bound = bind_llvm_sim_block(self.parameters, block)
+        def scalar_kernel(block, position, block_warmup, block_measure):
+            bound = bind_llvm_sim_block(tables[position], block)
             return simulate_bound_llvm_sim(
-                bound, self.frontend_uops_per_cycle, block_warmup,
+                bound, frontend.uops_per_cycle, block_warmup,
                 block_measure).cycles_per_iteration
 
-        return megabatch_timings(compiled, warmup, measure, kernel,
+        return megabatch_timings(compiled, table_index, warmup, measure, kernel,
                                  chunk_size=chunk_size or DEFAULT_MEGABATCH_CHUNK,
                                  scalar_kernel=scalar_kernel)
 

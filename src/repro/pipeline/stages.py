@@ -30,7 +30,8 @@ from repro.autodiff.serialization import load_state_dict, save_state_dict
 from repro.core.extraction import extract_parameter_arrays
 from repro.core.losses import mape_loss_value
 from repro.core.parameters import ParameterArrays
-from repro.core.simulated_dataset import SimulatedExample, collect_simulated_dataset
+from repro.core.simulated_dataset import (SimulatedExample, collect_simulated_dataset,
+                                          example_tables)
 from repro.core.surrogate import (BlockFeaturizer, FeaturizationCache,
                                   build_surrogate)
 from repro.core.surrogate_training import (SurrogateTrainingConfig, SurrogateTrainingResult,
@@ -126,45 +127,17 @@ def _examples_to_arrays(examples: Sequence[SimulatedExample]) -> Dict[str, np.nd
     archive proportional to the number of *tables*, mirroring the in-memory
     layout.  Blocks are stored as indices into the ground-truth block list.
     """
-    table_index_by_id: Dict[int, int] = {}
-    tables: List[ParameterArrays] = []
-    example_table = np.empty(len(examples), dtype=np.int64)
-    example_block = np.empty(len(examples), dtype=np.int64)
-    example_timing = np.empty(len(examples), dtype=np.float64)
-    for position, example in enumerate(examples):
-        key = id(example.arrays)
-        table_index = table_index_by_id.get(key)
-        if table_index is None:
-            table_index = len(tables)
-            table_index_by_id[key] = table_index
-            tables.append(example.arrays)
-        example_table[position] = table_index
-        example_block[position] = example.block_index
-        example_timing[position] = example.simulated_timing
+    tables, example_table = example_tables(examples)
     return {
         "table_global_values": np.stack([table.global_values for table in tables]),
         "table_per_instruction_values": np.stack(
             [table.per_instruction_values for table in tables]),
         "example_table": example_table,
-        "example_block": example_block,
-        "example_timing": example_timing,
+        "example_block": np.array([example.block_index for example in examples],
+                                  dtype=np.int64),
+        "example_timing": np.array([example.simulated_timing
+                                    for example in examples], dtype=np.float64),
     }
-
-
-def _examples_from_arrays(arrays: Dict[str, np.ndarray],
-                          blocks: Sequence[Any]) -> List[SimulatedExample]:
-    tables = [ParameterArrays(global_values=arrays["table_global_values"][index],
-                              per_instruction_values=arrays["table_per_instruction_values"][index])
-              for index in range(arrays["table_global_values"].shape[0])]
-    examples: List[SimulatedExample] = []
-    for table_index, block_index, timing in zip(arrays["example_table"],
-                                                arrays["example_block"],
-                                                arrays["example_timing"]):
-        examples.append(SimulatedExample(arrays=tables[int(table_index)],
-                                         block_index=int(block_index),
-                                         block=blocks[int(block_index)],
-                                         simulated_timing=float(timing)))
-    return examples
 
 
 def collect_examples(adapter: Any, config: Any, blocks: Sequence[Any],
@@ -276,7 +249,8 @@ class CollectDatasetStage(Stage):
             state.simulated_examples = _streaming_examples(
                 state, state.streaming_dataset)
             return
-        state.simulated_examples = _examples_from_arrays(arrays, state.blocks)
+        state.simulated_examples = StreamingSimulatedDataset.from_arrays(
+            arrays).materialize(state.blocks)
 
 
 def _save_surrogate_outcome(stage_name: str, state: PipelineState,

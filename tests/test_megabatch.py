@@ -201,9 +201,11 @@ def test_packed_kernels_accept_arbitrary_lane_order(mca_adapter, sim_adapter,
     warmup, measure = shrink_iteration_counts(lengths, 4, 8, 2048)
     corpus = pack_corpus(compiled)
 
+    single = np.zeros(len(shuffled), dtype=np.int64)
     mca_ref = _scalar_timings(MCASimulator(mca_table), shuffled)
     assert np.array_equal(
-        simulate_packed_mca(mca_table, corpus, warmup, measure), mca_ref)
+        simulate_packed_mca([mca_table], corpus, single, warmup, measure),
+        mca_ref)
 
     sim_table = sim_adapter.default_table()
     sim_compiler = BlockCompiler(sim_table.opcode_table)
@@ -211,7 +213,8 @@ def test_packed_kernels_accept_arbitrary_lane_order(mca_adapter, sim_adapter,
     sim_corpus = pack_corpus(sim_compiled)
     sim_ref = _scalar_timings(LLVMSimSimulator(sim_table), shuffled)
     assert np.array_equal(
-        simulate_packed_llvm_sim(sim_table, sim_corpus, 4, 3, warmup, measure),
+        simulate_packed_llvm_sim([sim_table], sim_corpus, single, 4, 3, warmup,
+                                 measure),
         sim_ref)
 
 
@@ -273,3 +276,171 @@ def test_engine_parallel_chunked_fanout_deterministic(mca_adapter,
     again = mca_engine(num_workers=2).run(tables, corpus_blocks)
     assert np.array_equal(again, serial)
     assert parallel_engine.stats["parallel_batches"] == 1
+
+
+# ----------------------------------------------------------------------
+# Multi-table lanes: each lane under its own table, both simulators
+# ----------------------------------------------------------------------
+def _lane_reference(simulators, blocks, table_index):
+    """Scalar ``predict_timing`` of every lane under its own simulator."""
+    return np.array([simulators[int(position)].predict_timing(block)
+                     for block, position in zip(blocks, table_index)],
+                    dtype=np.float64)
+
+
+def _mixed_mca_tables(adapter, rng):
+    """Sampled tables with distinct widths and ROB sizes, one of them tiny.
+
+    The tiny buffer holds three micro-ops, so its lanes take the kernel's
+    deferred-drain slow path while the huge one's lanes never fill.
+    """
+    tables = []
+    for width, capacity in ((1, 3), (2, 10_000), (4, 24), (7, 192)):
+        table = _sampled_table(adapter, int(rng.integers(0, 10_000))).copy()
+        table.dispatch_width = width
+        table.reorder_buffer_size = capacity
+        tables.append(table)
+    return tables
+
+
+def _lanes(rng, blocks, num_tables, count):
+    """Random lanes with every table present and duplicate (table, block) pairs."""
+    chosen = [blocks[int(index)] for index in rng.integers(0, len(blocks), size=count)]
+    table_index = rng.integers(0, num_tables, size=count)
+    table_index[:num_tables] = np.arange(num_tables)
+    # Repeat the first eight lanes verbatim: duplicate (table, block) pairs.
+    return chosen + chosen[:8], np.concatenate([table_index, table_index[:8]])
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_mca_multi_table_lanes_match_scalar(mca_adapter, corpus_blocks, seed):
+    rng = np.random.default_rng(seed)
+    tables = _mixed_mca_tables(mca_adapter, rng)
+    simulators = [MCASimulator(table) for table in tables]
+    blocks, table_index = _lanes(rng, corpus_blocks, len(tables), 48)
+    lanes = MCASimulator.predict_timing_lanes(simulators, blocks, table_index)
+    assert np.array_equal(lanes, _lane_reference(simulators, blocks, table_index))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_llvm_sim_multi_table_lanes_match_scalar(sim_adapter, corpus_blocks, seed):
+    rng = np.random.default_rng(seed)
+    simulators = [LLVMSimSimulator(_sampled_table(sim_adapter, int(table_seed)))
+                  for table_seed in rng.integers(0, 10_000, size=4)]
+    blocks, table_index = _lanes(rng, corpus_blocks, len(simulators), 48)
+    lanes = LLVMSimSimulator.predict_timing_lanes(simulators, blocks, table_index)
+    assert np.array_equal(lanes, _lane_reference(simulators, blocks, table_index))
+
+
+def test_multi_table_lanes_mixed_lengths_and_shrunken_windows(mca_adapter,
+                                                              sim_adapter,
+                                                              corpus_blocks):
+    # Singletons and long blocks in one call; each simulator has its own
+    # dynamic-instruction cap, so windows shrink per lane.
+    rng = np.random.default_rng(5)
+    singletons = [BasicBlock(instructions=(block.instructions[0],))
+                  for block in corpus_blocks[:6]]
+    blocks = list(corpus_blocks) + singletons
+    table_index = rng.integers(0, 3, size=len(blocks))
+    caps = (48, 96, 2048)
+    mca = [MCASimulator(table, max_dynamic_instructions=cap)
+           for table, cap in zip(_mixed_mca_tables(mca_adapter, rng), caps)]
+    sim = [LLVMSimSimulator(_sampled_table(sim_adapter, seed),
+                            max_dynamic_instructions=cap)
+           for seed, cap in zip((21, 22, 23), caps)]
+    for simulators in (mca, sim):
+        lanes = type(simulators[0]).predict_timing_lanes(simulators, blocks,
+                                                         table_index)
+        assert np.array_equal(lanes,
+                              _lane_reference(simulators, blocks, table_index))
+
+
+def test_multi_table_chunking_and_lane_order_are_invisible(mca_adapter,
+                                                           corpus_blocks):
+    # Direct kernel calls through megabatch_timings: chunk membership and a
+    # shuffled, interleaved table index never change a lane's timing.
+    rng = np.random.default_rng(9)
+    simulators = [MCASimulator(table)
+                  for table in _mixed_mca_tables(mca_adapter, rng)]
+    blocks, table_index = _lanes(rng, corpus_blocks, len(simulators), 64)
+    reference = _lane_reference(simulators, blocks, table_index)
+    for chunk_size in (1, 3, 7, 16, len(blocks)):
+        lanes = MCASimulator.predict_timing_lanes(simulators, blocks, table_index,
+                                                  chunk_size=chunk_size)
+        assert np.array_equal(lanes, reference)
+
+
+def test_single_table_is_the_t1_case(mca_adapter, sim_adapter, corpus_blocks):
+    # T = 1: the lane call, the batch call and the direct kernel with a zero
+    # table index all equal the scalar loop; and T tables in one kernel
+    # call equal T separate single-table calls.
+    mca_tables = [_sampled_table(mca_adapter, seed) for seed in (31, 32)]
+    sim_tables = [_sampled_table(sim_adapter, seed) for seed in (33, 34)]
+    for cls, tables in ((MCASimulator, mca_tables),
+                        (LLVMSimSimulator, sim_tables)):
+        simulators = [cls(table) for table in tables]
+        single = np.zeros(len(corpus_blocks), dtype=np.int64)
+        expected = _scalar_timings(simulators[0], corpus_blocks)
+        assert np.array_equal(
+            cls.predict_timing_lanes(simulators[:1], corpus_blocks, single),
+            expected)
+        assert np.array_equal(simulators[0].predict_timing_batch(corpus_blocks),
+                              expected)
+        both = cls.predict_timing_lanes(
+            simulators, list(corpus_blocks) * 2,
+            np.repeat([0, 1], len(corpus_blocks)))
+        assert np.array_equal(both, np.concatenate(
+            [simulator.predict_timing_batch(corpus_blocks)
+             for simulator in simulators]))
+
+    compiler = BlockCompiler(mca_tables[0].opcode_table)
+    compiled = [compiler.compile(block) for block in corpus_blocks]
+    lengths = np.array([block.length for block in compiled], dtype=np.int64)
+    warmup, measure = shrink_iteration_counts(lengths, 4, 8, 2048)
+    corpus = pack_corpus(compiled)
+    index = np.arange(len(compiled)) % 2
+    direct = simulate_packed_mca(mca_tables, corpus, index, warmup, measure)
+    for position, table in enumerate(mca_tables):
+        lanes = index == position
+        alone = simulate_packed_mca(
+            [table], pack_corpus([block for block, keep in zip(compiled, lanes)
+                                  if keep]),
+            np.zeros(int(lanes.sum()), dtype=np.int64), warmup[lanes],
+            measure[lanes])
+        assert np.array_equal(direct[lanes], alone)
+
+
+def test_llvm_sim_lanes_require_one_frontend(sim_adapter, corpus_blocks):
+    table = sim_adapter.default_table()
+    simulators = [LLVMSimSimulator(table, frontend_uops_per_cycle=4),
+                  LLVMSimSimulator(table, frontend_uops_per_cycle=2)]
+    with pytest.raises(ValueError, match="frontend"):
+        LLVMSimSimulator.predict_timing_lanes(simulators, corpus_blocks[:2],
+                                              np.array([0, 1]))
+
+
+def test_engine_run_pairs_is_one_lane_call(mca_adapter, corpus_blocks,
+                                           monkeypatch):
+    # Every uncached lane of every pair goes into one megabatch_timings call,
+    # bit-identical to the per-table scalar engine.
+    import repro.engine.megabatch as megabatch
+
+    calls = []
+    original = megabatch.megabatch_timings
+
+    def counted(compiled, *args, **kwargs):
+        calls.append(len(compiled))
+        return original(compiled, *args, **kwargs)
+
+    monkeypatch.setattr(megabatch, "megabatch_timings", counted)
+    tables = [_sampled_table(mca_adapter, seed) for seed in range(41, 47)]
+    pairs = [(table, corpus_blocks[index * 5:index * 5 + 16])
+             for index, table in enumerate(tables)]
+    pairs.append((tables[0], corpus_blocks[:8]))  # served by the first pair
+    fast = mca_engine().run_pairs(pairs)
+    assert calls == [16 * len(tables)]
+    slow = SimulationEngine(ScalarMCASimulator, mca_table_digest).run_pairs(pairs)
+    for fast_row, slow_row in zip(fast, slow):
+        assert np.array_equal(fast_row, slow_row)

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from repro.bhive import BlockGenerator
 from repro.core.adapters import MCAAdapter
 from repro.core.losses import surrogate_loss
-from repro.core.simulated_dataset import collect_simulated_dataset
-from repro.core.surrogate import (FeaturizationCache, PooledSurrogate,
-                                  SurrogateConfig, build_surrogate)
+from repro.core.simulated_dataset import collect_simulated_dataset, example_tables
+from repro.core.surrogate import (FeaturizationCache, NormalizedTables,
+                                  PooledSurrogate, SurrogateConfig,
+                                  build_surrogate, featurization_cache_stats)
 from repro.core.surrogate import BlockFeaturizer
 from repro.core.surrogate_training import (SurrogateTrainingConfig, evaluate_surrogate,
                                            train_surrogate)
@@ -67,14 +68,15 @@ def _scalar_and_batched(surrogate, adapter, blocks, tables):
     cache = FeaturizationCache(surrogate.featurizer)
     featurized = [cache.featurize(block) for block in blocks]
     packed = cache.pack(featurized)
-    per_instruction, global_values = cache.batch_parameters(spec, featurized, tables)
+    normalized = NormalizedTables(spec, tables, np.arange(len(tables)))
+    per_instruction, global_values = normalized.batch_inputs(
+        np.arange(len(tables)), packed)
     batched = surrogate.forward_batch(packed, per_instruction, global_values)
     scalar = []
-    for featurized_block, table in zip(featurized, tables):
-        normalized = cache.normalized_arrays(spec, table)
-        rows = normalized.per_instruction_values[list(featurized_block.opcode_indices)]
-        scalar.append(surrogate.forward(featurized_block, rows,
-                                        normalized.global_values))
+    for row, featurized_block in enumerate(featurized):
+        rows, global_vector = normalized.example_inputs(
+            row, featurized_block.opcode_indices)
+        scalar.append(surrogate.forward(featurized_block, rows, global_vector))
     return scalar, batched
 
 
@@ -171,22 +173,52 @@ class TestFeaturizationCache:
         again = cache._arrays_for(cache.featurize(blocks[0]))
         assert first is again
 
-    def test_normalization_memoized_per_table(self, adapter):
-        spec = adapter.parameter_spec()
-        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        table = spec.sample(np.random.default_rng(0))
-        first = cache.normalized_arrays(spec, table)
-        assert cache.normalized_arrays(spec, table) is first
-        other = spec.sample(np.random.default_rng(1))
-        assert cache.normalized_arrays(spec, other) is not first
 
-    def test_batch_parameters_alignment_validated(self, adapter, blocks):
+class TestNormalizedTables:
+    def test_each_table_object_normalized_once(self, adapter, simulated):
+        spec = adapter.parameter_spec()
+        before = featurization_cache_stats()
+        normalized = NormalizedTables(spec, *example_tables(simulated))
+        after = featurization_cache_stats()
+        distinct = {id(example.arrays) for example in simulated}
+        assert normalized.per_instruction.shape[0] == len(distinct)
+        assert after["table_misses"] - before["table_misses"] == len(distinct)
+        assert (after["table_hits"] - before["table_hits"]
+                == len(simulated) - len(distinct))
+        for row, example in enumerate(simulated):
+            expected = spec.normalize_for_surrogate_training(example.arrays)
+            table = normalized.example_table[row]
+            assert np.array_equal(normalized.per_instruction[table],
+                                  expected.per_instruction_values)
+            assert np.array_equal(normalized.global_values[table],
+                                  expected.global_values)
+
+    def test_batch_inputs_gather_rows_and_zero_padding(self, adapter, blocks):
         spec = adapter.parameter_spec()
         cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
-        featurized = [cache.featurize(block) for block in blocks[:2]]
+        featurized = [cache.featurize(block) for block in blocks[:4]]
+        packed = cache.pack(featurized)
+        rng = np.random.default_rng(2)
+        tables = [spec.sample(rng) for _ in range(2)]
+        normalized = NormalizedTables(spec, tables, [1, 0, 1, 1])
+        per_instruction, global_values = normalized.batch_inputs(
+            np.arange(4), packed)
+        for row, entry in enumerate(featurized):
+            length = len(entry.opcode_indices)
+            rows, global_vector = normalized.example_inputs(row,
+                                                            entry.opcode_indices)
+            assert np.array_equal(per_instruction[row, :length], rows)
+            assert not per_instruction[row, length:].any()
+            assert np.array_equal(global_values[row], global_vector)
+
+    def test_batch_inputs_alignment_validated(self, adapter, blocks):
+        spec = adapter.parameter_spec()
+        cache = FeaturizationCache(BlockFeaturizer(adapter.opcode_table))
+        packed = cache.pack([cache.featurize(block) for block in blocks[:2]])
+        normalized = NormalizedTables(
+            spec, [spec.sample(np.random.default_rng(0))], [0, 0])
         with pytest.raises(ValueError, match="aligned"):
-            cache.batch_parameters(spec, featurized,
-                                   [spec.sample(np.random.default_rng(0))])
+            normalized.batch_inputs(np.arange(1), packed)
 
 
 class TestTrainingPaths:
