@@ -5,7 +5,10 @@ The module hierarchy mirrors the pieces the DiffTune surrogate needs:
 * :class:`Linear` — fully connected layer.
 * :class:`Embedding` — token-id → vector lookup table.
 * :class:`LSTMCell` / :class:`LSTM` / :class:`StackedLSTM` — recurrent layers
-  used for the per-instruction and per-block sequence models.
+  used for the per-instruction and per-block sequence models.  A padded
+  minibatch runs each LSTM layer as one autodiff node
+  (:func:`lstm_sequence`, with a hand-written backprop-through-time); the
+  per-example cell path stays as its test oracle.
 * :class:`MLP`, :class:`Sequential`, :class:`ReLU`, :class:`Tanh`,
   :class:`Dropout` — glue for the prediction head and for baseline models.
 
@@ -152,12 +155,33 @@ class Embedding(Module):
     def forward(self, token_ids: Sequence[int]) -> Tensor:
         """Look up ``token_ids`` (any shape — scalars, sequences, or padded
         ``(B, I, T)`` id arrays); the result appends the embedding dim."""
+        return gather(self.weight, self._checked(token_ids))
+
+    def lookup_sequences(self, token_ids: np.ndarray) -> Tensor:
+        """Embed a padded ``(N, T)`` id array as one ``(N, T, D)`` node.
+
+        The backward scatters one token position at a time, in position
+        order, so the table's gradient sums exactly as a lookup per position
+        would.
+        """
+        indices = self._checked(token_ids)
+        weight = self.weight
+
+        def _backward(grad: np.ndarray) -> None:
+            for position in range(indices.shape[1]):
+                full = np.zeros_like(weight.data)
+                np.add.at(full, indices[:, position], grad[:, position])
+                weight._accumulate(full)
+
+        return Tensor._make(weight.data[indices], (weight,), _backward)
+
+    def _checked(self, token_ids) -> np.ndarray:
         indices = np.asarray(token_ids, dtype=np.int64)
         if np.any(indices < 0) or np.any(indices >= self.num_embeddings):
             raise IndexError(
                 f"token id out of range [0, {self.num_embeddings}): {indices.tolist()}"
             )
-        return gather(self.weight, indices)
+        return indices
 
 
 class ReLU(Module):
@@ -360,6 +384,110 @@ class LSTMCell(Module):
         return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def lstm_sequence(x: Tensor, mask, cell: LSTMCell) -> Tensor:
+    """Run ``cell`` over a padded batch-first sequence as one autodiff node.
+
+    ``x`` is ``(B, T, D)`` and ``mask`` is ``(T, B)`` with 1 on real steps and
+    0 on padding; the result is the ``(B, T, H)`` hidden state after every
+    step.  A masked step holds the row's previous state, so a row's state
+    after its last real step equals running it alone through
+    :meth:`LSTM.forward`.  The forward uses the cell's NumPy expressions and
+    the backward is a hand-written backprop-through-time that sums every
+    gradient in the order the per-step cell graph would, so the two agree
+    bit for bit.  Weight gradients are skipped for weights that do not
+    require grad.
+    """
+    if x.ndim != 3 or x.shape[1] == 0:
+        raise ValueError("lstm_sequence requires a non-empty (B, T, D) sequence, "
+                         f"got shape {x.shape}")
+    batch, steps = x.shape[0], x.shape[1]
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != (steps, batch):
+        raise ValueError(f"mask must have shape (T, B) = {(steps, batch)}, "
+                         f"got {mask.shape}")
+    if not np.all((mask == 0.0) | (mask == 1.0)):
+        raise ValueError("mask entries must be 0 or 1")
+    wi, wh, bias = cell.weight_input, cell.weight_hidden, cell.bias
+    n = cell.hidden_size
+    hidden, state = np.zeros((batch, n)), np.zeros((batch, n))
+    outputs = np.empty((batch, steps, n))
+    saved = []
+    for t in range(steps):
+        gates = x.data[:, t] @ wi.data + hidden @ wh.data + bias.data
+        i, f = _sigmoid(gates[:, 0:n]), _sigmoid(gates[:, n:2 * n])
+        g, o = np.tanh(gates[:, 2 * n:3 * n]), _sigmoid(gates[:, 3 * n:4 * n])
+        new_state = f * state + i * g
+        tanh_state = np.tanh(new_state)
+        new_hidden = o * tanh_state
+        keep = None if mask[t].all() else mask[t][:, None]
+        saved.append((hidden, state, i, f, g, o, tanh_state, keep))
+        if keep is None:
+            hidden, state = new_hidden, new_state
+        else:
+            hidden = new_hidden * keep + hidden * (1.0 - keep)
+            state = new_state * keep + state * (1.0 - keep)
+        outputs[:, t] = hidden
+
+    def _backward(grad: np.ndarray) -> None:
+        dgates_per_step = [None] * steps
+        # Gradient pieces flowing into step t - 1's held hidden and cell
+        # state, kept apart so they are summed in the per-step graph's order.
+        hold_hidden = matmul_hidden = None
+        dstate = None
+        for t in reversed(range(steps)):
+            hidden_prev, state_prev, i, f, g, o, tanh_state, keep = saved[t]
+            dhidden = grad[:, t]
+            if hold_hidden is not None:
+                dhidden = dhidden + hold_hidden
+            if matmul_hidden is not None:
+                dhidden = dhidden + matmul_hidden
+            hold_hidden = hold_state = None
+            if keep is None:
+                dnew_hidden = dhidden
+            else:
+                hold_hidden = dhidden * (1.0 - keep)
+                dnew_hidden = dhidden * keep
+            do = dnew_hidden * tanh_state
+            dtanh = dnew_hidden * o * (1.0 - tanh_state * tanh_state)
+            if dstate is None:
+                dnew_state = dtanh
+            elif keep is None:
+                dnew_state = dstate + dtanh
+            else:
+                hold_state = dstate * (1.0 - keep)
+                dnew_state = dstate * keep + dtanh
+            dgates = np.zeros((batch, 4 * n))
+            dgates[:, 2 * n:3 * n] += dnew_state * i * (1.0 - g * g)
+            dgates[:, 0:n] += dnew_state * g * i * (1.0 - i)
+            dgates[:, n:2 * n] += dnew_state * state_prev * f * (1.0 - f)
+            dgates[:, 3 * n:4 * n] += do * o * (1.0 - o)
+            dstate = dnew_state * f
+            if hold_state is not None:
+                dstate = hold_state + dstate
+            dgates_per_step[t] = dgates
+            if bias.requires_grad:
+                bias._accumulate(dgates.sum(axis=0))
+            matmul_hidden = dgates @ wh.data.T
+            if wh.requires_grad:
+                wh._accumulate(hidden_prev.T @ dgates)
+        # The per-step graph reached the input projections last, in forward
+        # order; the input-weight gradient is summed in that order too.
+        dx = np.zeros_like(x.data) if x.requires_grad else None
+        for t in range(steps):
+            if dx is not None:
+                dx[:, t] = dgates_per_step[t] @ wi.data.T
+            if wi.requires_grad:
+                wi._accumulate(x.data[:, t].T @ dgates_per_step[t])
+        if dx is not None:
+            x._accumulate(dx)
+
+    return Tensor._make(outputs, (x, wi, wh, bias), _backward)
+
+
 class LSTM(Module):
     """Process a sequence of vectors with a single-layer LSTM.
 
@@ -392,38 +520,6 @@ class LSTM(Module):
         hidden, cell = state
         for element in sequence:
             hidden, cell = self.cell(element, (hidden, cell))
-            hidden_states.append(hidden)
-        return hidden_states
-
-    def forward_batch(self, steps: Sequence[Tensor], mask: np.ndarray) -> Tensor:
-        """Final hidden state of a padded minibatch: ``steps[t]`` is ``(B, D)``.
-
-        ``mask`` has shape ``(T, B)`` with 1 where the step is real and 0 on
-        padding.  Masked steps hold the previous state, so after the loop each
-        row's hidden state equals its state after its own last real step —
-        identical to running that example alone through :meth:`forward`.
-        """
-        return self.forward_all_batch(steps, mask)[-1]
-
-    def forward_all_batch(self, steps: Sequence[Tensor],
-                          mask: np.ndarray) -> List[Tensor]:
-        """Per-step hidden states of a padded minibatch (masked state holds)."""
-        if len(steps) == 0:
-            raise ValueError("LSTM.forward_batch requires a non-empty sequence")
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape[0] != len(steps):
-            raise ValueError(f"mask covers {mask.shape[0]} steps, got {len(steps)}")
-        hidden, cell = self.cell.initial_state(steps[0].shape[:-1])
-        hidden_states: List[Tensor] = []
-        for index, element in enumerate(steps):
-            step_mask = mask[index]
-            new_hidden, new_cell = self.cell(element, (hidden, cell))
-            if step_mask.all():
-                hidden, cell = new_hidden, new_cell
-            else:
-                keep = step_mask[..., None]
-                hidden = new_hidden * keep + hidden * (1.0 - keep)
-                cell = new_cell * keep + cell * (1.0 - keep)
             hidden_states.append(hidden)
         return hidden_states
 
@@ -464,15 +560,14 @@ class StackedLSTM(Module):
             current = layer.forward_all(current)
         return current
 
-    def forward_batch(self, steps: Sequence[Tensor], mask: np.ndarray) -> Tensor:
-        """Final top-layer hidden state over a padded minibatch (see LSTM).
+    def forward_padded(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        """Final top-layer hidden state of a padded ``(B, T, D)`` minibatch.
 
+        ``mask`` is ``(T, B)``; each layer is one :func:`lstm_sequence` node.
         Masked steps hold every layer's state, so each lower layer feeds the
         next exactly the per-step hidden states the per-example path would
         produce; padding never leaks across layers.
         """
-        current: List[Tensor] = list(steps)
         for name in self._layer_names:
-            layer: LSTM = getattr(self, name)
-            current = layer.forward_all_batch(current, mask)
-        return current[-1]
+            x = lstm_sequence(x, mask, getattr(self, name).cell)
+        return x[:, -1]

@@ -37,7 +37,8 @@ import numpy as np
 from repro.api.registries import SURROGATES
 from repro.autodiff import (Embedding, Linear, MLP, Module, StackedLSTM, Tensor)
 from repro.autodiff.modules import Parameter
-from repro.autodiff.tensor import concat, masked_mean, masked_sum, maximum, stack
+from repro.autodiff.tensor import (concat, gather, masked_mean, masked_sum, maximum,
+                                   stack)
 from repro.core.parameters import ParameterArrays, ParameterSpec, PORT_MAP_FIELD_NAME
 from repro.isa.basic_block import BasicBlock
 from repro.isa.canonicalize import CanonicalInstruction, TokenVocabulary, canonicalize_block
@@ -536,27 +537,27 @@ class IthemalSurrogate(_SurrogateBase):
         global_vector = self._as_tensor(global_params)
         batch_size = batch.batch_size
         max_instructions = batch.max_instructions
-        max_tokens = batch.max_tokens
-        # Token level: every (block, instruction) slot becomes one row of a
-        # (B*I)-wide LSTM batch; fully padded slots stay at the zero initial
-        # state because all their steps are masked.
-        flat_ids = batch.token_ids.reshape(batch_size * max_instructions, max_tokens)
-        flat_token_mask = batch.token_mask.reshape(
-            batch_size * max_instructions, max_tokens)
-        token_steps = [self.token_embedding(flat_ids[:, position])
-                       for position in range(max_tokens)]
-        instruction_vectors = self.instruction_lstm.forward_batch(
-            token_steps, flat_token_mask.T)
-        instruction_vectors = instruction_vectors.reshape(
-            batch_size, max_instructions, self.config.hidden_size)
+        hidden_size = self.config.hidden_size
+        # Token level: only the (block, instruction) slots holding at least
+        # one real token run the token LSTM.  The padded slots of shorter
+        # blocks get the zero vector a fully masked row would hold: they
+        # gather the zero row appended after the encoded slots.  (BLAS may
+        # round a product over fewer rows differently in the last bit.)
+        flat_ids = batch.token_ids.reshape(batch_size * max_instructions, -1)
+        flat_mask = batch.token_mask.reshape(batch_size * max_instructions, -1)
+        slots = np.flatnonzero(flat_mask.any(axis=1))
+        encoded = self.instruction_lstm.forward_padded(
+            self.token_embedding.lookup_sequences(flat_ids[slots]), flat_mask[slots].T)
+        rows = np.full(batch_size * max_instructions, len(slots))
+        rows[slots] = np.arange(len(slots))
+        instruction_vectors = gather(
+            concat([encoded, Tensor(np.zeros((1, hidden_size)))]), rows).reshape(
+            batch_size, max_instructions, hidden_size)
         pieces = [instruction_vectors, Tensor(batch.structural_features), params]
         if global_vector.shape[-1] > 0:
             pieces.append(self._broadcast_global(global_vector, batch))
-        block_inputs = concat(pieces, axis=-1)
-        block_steps = [block_inputs[:, position, :]
-                       for position in range(max_instructions)]
-        block_vector = self.block_lstm.forward_batch(
-            block_steps, batch.instruction_mask.T)
+        block_vector = self.block_lstm.forward_padded(
+            concat(pieces, axis=-1), batch.instruction_mask.T)
         prediction = self.head(block_vector)
         return prediction.softplus().reshape(batch_size)
 

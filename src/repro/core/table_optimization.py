@@ -209,12 +209,21 @@ def optimize_parameter_table(surrogate: _SurrogateBase,
             batch_targets.append(float(targets[int(block_index)]))
         return surrogate_loss(predictions, batch_targets)
 
-    loop = run_minibatch_loop(
-        len(blocks), _batched_loss if use_batched else _per_block_loss,
-        optimizer, rng,
-        batch_size=config.batch_size, epochs=config.epochs,
-        shuffle=config.shuffle, gradient_clip=config.gradient_clip,
-        log_every=config.log_every, post_step=restore_frozen, progress=progress)
+    # The surrogate's weights are never stepped here, so their gradients
+    # are not computed for the duration of the loop.
+    weights = [(weight, weight.requires_grad) for weight in surrogate.parameters()]
+    for weight, _ in weights:
+        weight.requires_grad = False
+    try:
+        loop = run_minibatch_loop(
+            len(blocks), _batched_loss if use_batched else _per_block_loss,
+            optimizer, rng,
+            batch_size=config.batch_size, epochs=config.epochs,
+            shuffle=config.shuffle, gradient_clip=config.gradient_clip,
+            log_every=config.log_every, post_step=restore_frozen, progress=progress)
+    finally:
+        for weight, requires_grad in weights:
+            weight.requires_grad = requires_grad
 
     return TableOptimizationResult(learned_arrays=table.to_parameter_arrays(),
                                    epoch_losses=loop.epoch_losses,

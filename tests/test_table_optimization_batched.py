@@ -202,3 +202,33 @@ class TestProgressCallback:
             TableOptimizationConfig(batch_size=5, epochs=1, log_every=0),
             progress=lambda epoch, batch, loss: seen.append((epoch, batch)))
         assert seen == []
+
+
+class TestFrozenSurrogateWeights:
+    """The surrogate's weights compute no gradients while the table trains."""
+
+    def test_requires_grad_restored_after_return(self, adapter, blocks, timings):
+        surrogate = _build(adapter, "ithemal")
+        surrogate.head.bias.requires_grad = False
+        before = [weight.requires_grad for weight in surrogate.parameters()]
+        during = []
+        optimize_parameter_table(
+            surrogate, blocks, timings,
+            TableOptimizationConfig(batch_size=4, epochs=1),
+            progress=lambda epoch, batch, loss: during.append(
+                [weight.requires_grad for weight in surrogate.parameters()]))
+        assert during and not any(any(flags) for flags in during)
+        assert all(weight.grad is None for weight in surrogate.parameters())
+        assert [weight.requires_grad for weight in surrogate.parameters()] == before
+
+    def test_requires_grad_restored_after_exception(self, adapter, blocks, timings):
+        surrogate = _build(adapter, "ithemal")
+
+        def fail(epoch, batch, loss):
+            raise RuntimeError("stop inside the loop")
+
+        with pytest.raises(RuntimeError, match="inside the loop"):
+            optimize_parameter_table(
+                surrogate, blocks, timings,
+                TableOptimizationConfig(batch_size=4, epochs=1), progress=fail)
+        assert all(weight.requires_grad for weight in surrogate.parameters())

@@ -8,6 +8,9 @@ with an equal-content copy of the table in every example, and for the
 streaming example source.  Every variant must reproduce the recorded epoch
 losses, final training error and learned table exactly, so carrying a
 per-example table index instead of digesting tables changes no result.
+The two-layer Ithemal pin was recorded on the per-step LSTM graph that
+predates the whole-sequence LSTM node, so it pins that node's forward and
+backprop-through-time, inter-layer gradients included, bit for bit.
 """
 
 import hashlib
@@ -53,6 +56,14 @@ PINNED = {
 }
 
 
+#: The ``("ithemal", True)`` pin with a two-layer stack at both LSTM levels,
+#: so the gradient order between stacked layers is pinned too.
+PINNED_ITHEMAL_TWO_LAYERS = (
+    ["0x1.54f225bec9f81p-1", "0x1.4e813d853fb99p-1"], "0x1.4a2438bd0449ap-1",
+    "3ac12fbef7eafcb311ce830f37f2a2d0",
+    ["0x1.334d443cd0194p-1", "0x1.3195a95faf531p-1"])
+
+
 @pytest.fixture(scope="module")
 def adapter():
     return MCAAdapter(HASWELL, narrow_sampling=True)
@@ -77,9 +88,9 @@ def distinct_examples(shared_examples):
             for example in shared_examples]
 
 
-def _surrogate(adapter, kind, featurizer=None):
+def _surrogate(adapter, kind, featurizer=None, num_lstm_layers=1):
     config = SurrogateConfig(kind=kind, embedding_size=8, hidden_size=12,
-                             num_lstm_layers=1, seed=3)
+                             num_lstm_layers=num_lstm_layers, seed=3)
     return build_surrogate(adapter.parameter_spec(),
                            featurizer or BlockFeaturizer(adapter.opcode_table),
                            config)
@@ -136,3 +147,21 @@ def test_streaming_training_pinned(adapter, blocks, kind):
     losses, final_error, _, _ = PINNED[(kind, True)]
     assert _hex(result.epoch_losses) == losses
     assert result.final_training_error.hex() == final_error
+
+
+def test_two_layer_ithemal_pinned(adapter, blocks, shared_examples):
+    # Blocks of 2 to 6 instructions, so minibatches pad instruction slots.
+    assert len({len(block.instructions) for block in blocks}) > 1
+    losses, final_error, learned, table_losses = PINNED_ITHEMAL_TWO_LAYERS
+    surrogate = _surrogate(adapter, "ithemal", num_lstm_layers=2)
+    result = train_surrogate(surrogate, shared_examples,
+                             SurrogateTrainingConfig(epochs=2, batch_size=8, seed=1))
+    assert _hex(result.epoch_losses) == losses
+    assert result.final_training_error.hex() == final_error
+
+    true_timings = adapter.predict_timings(adapter.default_arrays(), blocks) * 1.1
+    table = optimize_parameter_table(
+        surrogate, blocks, true_timings,
+        TableOptimizationConfig(epochs=2, batch_size=4, seed=2))
+    assert _digest(table.learned_arrays) == learned
+    assert _hex(table.epoch_losses) == table_losses
